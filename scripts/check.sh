@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer gate: build the whole tree with AddressSanitizer +
-# UndefinedBehaviorSanitizer and run the full test suite under it.
+# UndefinedBehaviorSanitizer and run the full test suite under it
+# (gate 10 adds a ThreadSanitizer build of the concurrent suites).
 # Catches the bugs the zero-allocation fire path is most at risk of
 # (use-after-recycle, buffer reuse across fires, stale references).
 # Then smoke-tests the observability stack: traced runs must emit
@@ -229,6 +230,26 @@ for i in range(1, 9):
 print("daemon smoke: 8/8 jobs bit-identical after kill -9 + restore")
 EOF
 
+# --- ThreadSanitizer gate ------------------------------------------
+# 10. The concurrent code under ThreadSanitizer, in a tree of its own
+#     (TSan cannot share a build with ASan): the daemon suite (worker
+#     threads, the network loop and the job table they share, stop /
+#     restore / signal paths; repeated, since a race shows only when
+#     the threads interleave badly), the fleet suites (sim::Fleet's
+#     pool, JobQueue and CompletionRing, warm-replica fleets) and the
+#     WorkerPool suites. TSan exits nonzero on any report.
+TSAN_DIR="build-tsan"
+TSAN_FLAGS="-fsanitize=thread -g"
+cmake -B "$TSAN_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
+    -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
+cmake --build "$TSAN_DIR" -j "$(nproc)" \
+    --target test_daemon --target test_fleet --target test_common
+"$TSAN_DIR/tests/test_daemon" --gtest_repeat=3 > /dev/null
+"$TSAN_DIR/tests/test_fleet" > /dev/null
+"$TSAN_DIR/tests/test_common" --gtest_filter='WorkerPool*' > /dev/null
+
 # --- Optional throughput guard -------------------------------------
 # CHECK=1 also runs the bench_core regression guard (a separate
 # non-sanitized build; sanitizer overhead would swamp the timings).
@@ -236,4 +257,4 @@ if [[ "${CHECK:-0}" == "1" ]]; then
     scripts/bench_guard.sh
 fi
 
-echo "check.sh: sanitizer build + tests + observability gates passed"
+echo "check.sh: sanitizer builds + tests + observability gates passed"

@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/fleet.hh"
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "graph/snapcodec.hh"
@@ -147,18 +146,24 @@ arrivalKindFromName(const std::string &name)
                            "\"");
 }
 
-} // namespace
-
-sim::fault::FaultPlan
-resolveJobFaults(const sim::fault::FaultPlan &plan,
-                 std::uint64_t machineSeed, std::uint64_t jobId)
+/** Not yet Done or Failed: what a checkpoint saves as pending. */
+bool
+isPending(const JobRecord &rec)
 {
-    sim::fault::FaultPlan resolved = plan;
-    if (resolved.enabled() && resolved.seed == 0)
-        resolved.seed = sim::deriveJobSeed(
-            machineSeed, static_cast<std::size_t>(jobId));
-    return resolved;
+    return rec.state != JobState::Done && rec.state != JobState::Failed;
 }
+
+/** (cycles, completed) of a Done job, whichever tier ran it. */
+std::pair<sim::Cycle, std::uint64_t>
+resultTotals(const JobResult &result)
+{
+    if (const auto *vn = std::get_if<serve::VnFleetJobResult>(&result))
+        return {vn->cycles, vn->completed};
+    const auto &ttda = std::get<serve::FleetJobResult>(result);
+    return {ttda.cycles, ttda.completed};
+}
+
+} // namespace
 
 Daemon::Daemon(const DaemonConfig &cfg) : cfg_(cfg)
 {
@@ -171,14 +176,8 @@ Daemon::Daemon(const DaemonConfig &cfg) : cfg_(cfg)
 
 Daemon::~Daemon()
 {
-    if (executor_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = Stop::Immediate;
-        }
-        cv_.notify_all();
-        executor_.join();
-    }
+    stopWorkers();
+    joinWorkers();
     closeAll();
 }
 
@@ -215,13 +214,19 @@ Daemon::start()
     setNonBlocking(listenFd_);
 
     // Warm replicas: built once, reused for every job.
-    fleet_ = std::make_unique<serve::TtdaFleet>(program_, cfg_.machine,
-                                                cfg_.fleet);
-    vnFleet_ =
-        std::make_unique<serve::VnFleet>(cfg_.vnMachine, cfg_.fleet);
-    jobsPerWorker_.assign(fleet_->workers(), 0);
-
-    executor_ = std::thread([this] { executorLoop(); });
+    const unsigned workers = std::max(1u, cfg_.workers);
+    replicas_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        replicas_.emplace_back(program_, cfg_.machine,
+                               cfg_.captureStatsJson);
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        jobsPerWorker_.assign(workers, 0);
+        liveWorkers_ = workers;
+    }
+    workers_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        workers_.emplace_back([this, w] { workerLoop(w); });
 }
 
 void
@@ -238,102 +243,77 @@ Daemon::wakeLoop()
     [[maybe_unused]] const ssize_t n = ::write(wakePipe_[1], &byte, 1);
 }
 
-// ---- executor ------------------------------------------------------
+void
+Daemon::stopWorkers()
+{
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        draining_ = true;
+        stop_ = Stop::Immediate;
+    }
+    cv_.notify_all();
+}
 
 void
-Daemon::executorLoop()
+Daemon::joinWorkers()
+{
+    for (std::thread &t : workers_)
+        if (t.joinable())
+            t.join();
+}
+
+// ---- workers -------------------------------------------------------
+
+void
+Daemon::workerLoop(unsigned worker)
 {
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
         cv_.wait(lk, [this] {
             return stop_ != Stop::None || !queue_.empty();
         });
-        if (stop_ == Stop::Immediate)
+        // Immediate leaves the queue for the autosave; Drain runs it dry.
+        if (stop_ == Stop::Immediate || queue_.empty())
             break;
-        if (queue_.empty()) {
-            if (stop_ == Stop::Drain)
-                break;
-            continue;
-        }
-        // Take everything queued as one batch per tier; new submits
-        // queue behind it and form the next batch.
-        std::vector<std::uint64_t> ttdaIds, vnIds;
-        while (!queue_.empty()) {
-            const std::uint64_t id = queue_.front();
-            queue_.pop_front();
-            JobRecord &rec = jobs_.at(id);
-            rec.state = JobState::Running;
-            (rec.spec.tier == Tier::Vn ? vnIds : ttdaIds).push_back(id);
-        }
-        ++batches_;
-        if (!ttdaIds.empty())
-            runTtdaBatch(std::move(ttdaIds), lk);
-        if (!vnIds.empty())
-            runVnBatch(std::move(vnIds), lk);
-    }
-    execDone_ = true;
-    lk.unlock();
-    wakeLoop();
-}
+        const std::uint64_t id = queue_.front();
+        queue_.pop_front();
+        // Map nodes are stable and never erased, and restore needs an
+        // empty table, so `rec` outlives the unlocked run; its spec is
+        // immutable once admitted.
+        JobRecord &rec = jobs_.at(id);
+        rec.state = JobState::Running;
+        ++dispatches_;
+        ++jobsPerWorker_[worker];
 
-void
-Daemon::runTtdaBatch(std::vector<std::uint64_t> ids,
-                     std::unique_lock<std::mutex> &lk)
-{
-    std::vector<serve::FleetJob> batch;
-    batch.reserve(ids.size());
-    for (const std::uint64_t id : ids) {
-        const JobSpec &spec = jobs_.at(id).spec;
-        serve::FleetJob job;
-        job.cb = workloadCb_.at(spec.workload);
-        job.faults = spec.faults; // already resolved at admission
-        const auto arrivals = workloads::arrivalSchedule(
-            spec.arrival, static_cast<std::size_t>(spec.requests));
-        job.requests.reserve(arrivals.size());
-        for (const sim::Cycle at : arrivals)
-            job.requests.push_back({spec.args, at});
-        batch.push_back(std::move(job));
-    }
+        lk.unlock();
+        JobResult result = runJob(worker, id, rec.spec);
+        lk.lock();
 
-    lk.unlock();
-    std::vector<serve::FleetJobResult> results = fleet_->run(batch);
-    lk.lock();
-
-    steals_ += fleet_->steals();
-    const auto &perWorker = fleet_->jobsPerWorker();
-    for (std::size_t w = 0;
-         w < perWorker.size() && w < jobsPerWorker_.size(); ++w)
-        jobsPerWorker_[w] += perWorker[w];
-
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        JobRecord &rec = jobs_.at(ids[i]);
-        rec.result = std::move(results[i]);
+        rec.result = std::move(result);
         rec.state = JobState::Done;
-        requestsCompleted_ += rec.result.completed;
+        const auto [cycles, completed] = resultTotals(rec.result);
+        requestsCompleted_ += completed;
         auto frame = sim::json::Value::obj();
         frame.set("frame", sim::json::Value::str("job"));
-        frame.set("id", jnum(rec.id));
+        frame.set("id", jnum(id));
         frame.set("state", sim::json::Value::str("done"));
-        frame.set("cycles", jnum(rec.result.cycles));
-        frame.set("completed", jnum(rec.result.completed));
+        frame.set("cycles", jnum(cycles));
+        frame.set("completed", jnum(completed));
         pushFrame(frame);
+        wakeLoop();
     }
+    --liveWorkers_;
+    lk.unlock();
     wakeLoop();
 }
 
-void
-Daemon::runVnBatch(std::vector<std::uint64_t> ids,
-                   std::unique_lock<std::mutex> &lk)
+JobResult
+Daemon::runJob(unsigned worker, std::uint64_t id, const JobSpec &spec)
 {
-    std::vector<serve::VnFleetJob> batch;
-    batch.reserve(ids.size());
-    const std::uint64_t words =
-        cfg_.vnMachine.wordsPerModule * cfg_.vnMachine.numCores;
-    for (const std::uint64_t id : ids) {
-        const JobSpec &spec = jobs_.at(id).spec;
+    const auto arrivals = workloads::arrivalSchedule(
+        spec.arrival, static_cast<std::size_t>(spec.requests));
+    if (spec.tier == Tier::Vn) {
         serve::VnFleetJob job;
-        const auto arrivals = workloads::arrivalSchedule(
-            spec.arrival, static_cast<std::size_t>(spec.requests));
         job.requests.reserve(arrivals.size());
         for (std::size_t i = 0; i < arrivals.size(); ++i) {
             workloads::VnRequest req;
@@ -342,32 +322,21 @@ Daemon::runVnBatch(std::vector<std::uint64_t> ids,
             req.computePerLoad = spec.vnComputePerLoad;
             req.addr = i * spec.vnStride;
             req.stride = spec.vnStride;
-            req.addrSpace = words;
+            req.addrSpace =
+                cfg_.vnMachine.wordsPerModule * cfg_.vnMachine.numCores;
             job.requests.push_back(req);
         }
-        batch.push_back(std::move(job));
+        return serve::runVnJob(cfg_.vnMachine, job);
     }
-
-    lk.unlock();
-    std::vector<serve::VnFleetJobResult> results =
-        vnFleet_->run(batch);
-    lk.lock();
-
-    steals_ += vnFleet_->steals();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        JobRecord &rec = jobs_.at(ids[i]);
-        rec.vnResult = std::move(results[i]);
-        rec.state = JobState::Done;
-        requestsCompleted_ += rec.vnResult.completed;
-        auto frame = sim::json::Value::obj();
-        frame.set("frame", sim::json::Value::str("job"));
-        frame.set("id", jnum(rec.id));
-        frame.set("state", sim::json::Value::str("done"));
-        frame.set("cycles", jnum(rec.vnResult.cycles));
-        frame.set("completed", jnum(rec.vnResult.completed));
-        pushFrame(frame);
-    }
-    wakeLoop();
+    serve::FleetJob job;
+    job.cb = workloadCb_.at(spec.workload);
+    job.faults = spec.faults; // already resolved at admission
+    job.requests.reserve(arrivals.size());
+    for (const sim::Cycle at : arrivals)
+        job.requests.push_back({spec.args, at});
+    serve::FleetJobResult r = replicas_[worker].run(job, id);
+    r.worker = worker;
+    return r;
 }
 
 // ---- request handling ----------------------------------------------
@@ -470,16 +439,16 @@ Daemon::opSubmit(const sim::json::Value &req)
     const std::uint64_t id = nextId_++;
     // Resolve seed-0 fault plans against the daemon-global job id so
     // re-running this job (now, or from a restored checkpoint) draws
-    // the identical fault stream regardless of batch composition.
+    // the identical fault stream whichever worker runs it.
     spec.faults =
-        resolveJobFaults(spec.faults, cfg_.machine.seed, id);
+        serve::resolveJobFaults(spec.faults, cfg_.machine.seed, id);
     JobRecord rec;
     rec.id = id;
     rec.spec = std::move(spec);
     jobs_.emplace(id, std::move(rec));
     queue_.push_back(id);
     ++admitted_;
-    cv_.notify_all();
+    cv_.notify_one();
 
     auto resp = jok();
     resp.set("id", jnum(id));
@@ -517,11 +486,11 @@ Daemon::opStatus()
     srvGauges.set("admitted", jnum(admitted_));
     srvGauges.set("rejected", jnum(rejected_));
     srvGauges.set("requestsCompleted", jnum(requestsCompleted_));
-    srvGauges.set("batches", jnum(batches_));
+    // Kept under its historical name: one per job dispatched.
+    srvGauges.set("batches", jnum(dispatches_));
     resp.set("srv", std::move(srvGauges));
     auto fleet = sim::json::Value::obj();
-    fleet.set("workers", jnum(fleet_ ? fleet_->workers() : 0));
-    fleet.set("steals", jnum(steals_));
+    fleet.set("workers", jnum(jobsPerWorker_.size()));
     auto perWorker = sim::json::Value::arr();
     for (const std::uint64_t n : jobsPerWorker_)
         perWorker.push(jnum(n));
@@ -549,14 +518,14 @@ Daemon::opResult(const sim::json::Value &req)
     if (rec.state != JobState::Done)
         return resp;
 
-    if (rec.spec.tier == Tier::Vn) {
-        resp.set("cycles", jnum(rec.vnResult.cycles));
-        resp.set("submitted", jnum(rec.vnResult.submitted));
-        resp.set("completed", jnum(rec.vnResult.completed));
-        resp.set("latency", latencyJson(rec.vnResult.latency));
+    if (const auto *vn = std::get_if<serve::VnFleetJobResult>(&rec.result)) {
+        resp.set("cycles", jnum(vn->cycles));
+        resp.set("submitted", jnum(vn->submitted));
+        resp.set("completed", jnum(vn->completed));
+        resp.set("latency", latencyJson(vn->latency));
         return resp;
     }
-    const serve::FleetJobResult &r = rec.result;
+    const auto &r = std::get<serve::FleetJobResult>(rec.result);
     resp.set("cycles", jnum(r.cycles));
     resp.set("deadlocked", sim::json::Value::boolean(r.deadlocked));
     resp.set("submitted", jnum(r.submitted));
@@ -588,9 +557,7 @@ Daemon::opCheckpoint(const sim::json::Value &req)
     std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t pending = 0;
     for (const auto &[id, rec] : jobs_)
-        if (rec.state != JobState::Done &&
-            rec.state != JobState::Failed)
-            ++pending;
+        pending += isPending(rec);
     auto resp = jok();
     resp.set("path", sim::json::Value::str(path));
     resp.set("jobs", jnum(jobs_.size()));
@@ -609,11 +576,11 @@ Daemon::opRestore(const sim::json::Value &req)
         if (draining_)
             return jerr("daemon is draining");
     }
-    loadCheckpoint(path);
+    const std::uint64_t pending = loadCheckpoint(path);
     std::lock_guard<std::mutex> lk(mu_);
     auto resp = jok();
     resp.set("jobs", jnum(jobs_.size()));
-    resp.set("pending", jnum(queue_.size()));
+    resp.set("pending", jnum(pending));
     return resp;
 }
 
@@ -722,12 +689,9 @@ Daemon::serve()
             char buf[64];
             while (::read(sigPipe_[0], buf, sizeof buf) > 0) {
             }
-            std::lock_guard<std::mutex> lk(mu_);
-            draining_ = true;
-            stop_ = Stop::Immediate; // finish in-flight batch only
-            cv_.notify_all();
+            stopWorkers(); // finish in-flight jobs only
         }
-        if (pfds[2].revents & POLLIN) { // executor wakeup
+        if (pfds[2].revents & POLLIN) { // worker wakeup
             char buf[64];
             while (::read(wakePipe_[0], buf, sizeof buf) > 0) {
             }
@@ -819,7 +783,7 @@ Daemon::serve()
 
         {
             std::lock_guard<std::mutex> lk(mu_);
-            if (!stopping && stop_ != Stop::None && execDone_) {
+            if (!stopping && stop_ != Stop::None && liveWorkers_ == 0) {
                 stopping = true;
                 stopMode = stop_;
             }
@@ -833,6 +797,12 @@ Daemon::serve()
                 break;
         }
     }
+
+    // Workers write the wake pipe until they exit: join them before
+    // closeAll() closes it (and before a poll() failure leaves them
+    // waiting).
+    stopWorkers();
+    joinWorkers();
 
     // Signal-path exit: still-queued jobs were never started; persist
     // them so a restored daemon can re-run them deterministically.
@@ -964,8 +934,8 @@ Daemon::saveCheckpoint(const std::string &path)
     for (const auto &[id, rec] : jobs_) {
         w.u64(id);
         saveSpec(w, rec.spec);
-        // Running jobs persist as Queued: their batch's results are
-        // not in the table yet, and re-running them is deterministic.
+        // Running jobs persist as Queued: their results are not in the
+        // table yet, and re-running them is deterministic.
         const JobState state = rec.state == JobState::Running
                                    ? JobState::Queued
                                    : rec.state;
@@ -974,14 +944,15 @@ Daemon::saveCheckpoint(const std::string &path)
             w.str(rec.error);
         if (state != JobState::Done)
             continue;
-        if (rec.spec.tier == Tier::Vn) {
-            w.u64(rec.vnResult.cycles);
-            w.u64(rec.vnResult.submitted);
-            w.u64(rec.vnResult.completed);
-            snapSave(w, rec.vnResult.latency);
+        if (const auto *vn =
+                std::get_if<serve::VnFleetJobResult>(&rec.result)) {
+            w.u64(vn->cycles);
+            w.u64(vn->submitted);
+            w.u64(vn->completed);
+            snapSave(w, vn->latency);
             continue;
         }
-        const serve::FleetJobResult &r = rec.result;
+        const auto &r = std::get<serve::FleetJobResult>(rec.result);
         w.u64(r.outputs.size());
         for (const ttda::OutputRecord &out : r.outputs) {
             snapSave(w, out.tag);
@@ -1007,7 +978,7 @@ Daemon::saveCheckpoint(const std::string &path)
         throw std::runtime_error("short write to \"" + path + "\"");
 }
 
-void
+std::uint64_t
 Daemon::loadCheckpoint(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
@@ -1055,26 +1026,30 @@ Daemon::loadCheckpoint(const std::string &path)
             rec.error = r.str();
         if (rec.state == JobState::Done) {
             if (rec.spec.tier == Tier::Vn) {
-                rec.vnResult.cycles = r.u64();
-                rec.vnResult.submitted = r.u64();
-                rec.vnResult.completed = r.u64();
-                snapLoad(r, rec.vnResult.latency);
+                serve::VnFleetJobResult vn;
+                vn.cycles = r.u64();
+                vn.submitted = r.u64();
+                vn.completed = r.u64();
+                snapLoad(r, vn.latency);
+                rec.result = std::move(vn);
             } else {
+                serve::FleetJobResult res;
                 const std::uint64_t nout = r.u64();
                 for (std::uint64_t o = 0; o < nout; ++o) {
                     ttda::OutputRecord out;
                     snapLoad(r, out.tag);
                     snapLoad(r, out.value);
-                    rec.result.outputs.push_back(out);
+                    res.outputs.push_back(out);
                 }
-                rec.result.cycles = r.u64();
-                rec.result.deadlocked = r.b();
-                rec.result.submitted = r.u64();
-                rec.result.completed = r.u64();
-                rec.result.watermarkHits = r.u64();
-                snapLoad(r, rec.result.latency);
-                rec.result.statsJson = r.str();
-                rec.result.worker = r.u32();
+                res.cycles = r.u64();
+                res.deadlocked = r.b();
+                res.submitted = r.u64();
+                res.completed = r.u64();
+                res.watermarkHits = r.u64();
+                snapLoad(r, res.latency);
+                res.statsJson = r.str();
+                res.worker = r.u32();
+                rec.result = std::move(res);
             }
         }
         const std::uint64_t id = rec.id;
@@ -1085,6 +1060,7 @@ Daemon::loadCheckpoint(const std::string &path)
     }
     r.expectEnd();
 
+    std::uint64_t pending = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (!jobs_.empty())
@@ -1096,10 +1072,15 @@ Daemon::loadCheckpoint(const std::string &path)
         admitted_ = admitted;
         rejected_ = rejected;
         requestsCompleted_ = requestsCompleted;
+        // Counted here: once the lock drops, workers may start (and
+        // finish) the queued jobs.
+        for (const auto &[id, rec] : jobs_)
+            pending += isPending(rec);
         cv_.notify_all();
     }
     if (wakePipe_[1] >= 0)
         wakeLoop();
+    return pending;
 }
 
 } // namespace srv

@@ -3,12 +3,14 @@
  * Simulation-as-a-service: a persistent daemon serving simulation jobs
  * over a newline-delimited JSON protocol on a local TCP socket.
  *
- * One process holds warm machine fleets (serve::TtdaFleet replicas
- * constructed once, recycled per job through Machine::reset(); a
- * serve::VnFleet for the von Neumann tier) and dispatches submitted
- * jobs onto them from an executor thread, while a poll()-based network
- * loop keeps accepting requests — so status/result queries stay
- * responsive while batches run.
+ * One process runs W worker threads beside a poll()-based network
+ * loop. Each worker owns one warm serve::TtdaReplica (constructed
+ * once, recycled per job through Machine::reset()), takes one queued
+ * job at a time, and publishes that job's result and watch frame as
+ * soon as it finishes; a von Neumann job runs in the same worker on a
+ * fresh machine (serve::runVnJob). Nothing waits for a batch: a job
+ * starts as soon as a worker is free, and status/result queries stay
+ * responsive while jobs run.
  *
  * Protocol (one JSON object per line, one reply per line):
  *
@@ -24,19 +26,20 @@
  *
  * Determinism: a job's result is a pure function of its spec and the
  * daemon's machine configuration. Fault plans with seed 0 are resolved
- * against the *daemon-global job id* at admission (never the batch
- * index or the worker), so re-running a checkpointed pending job — in
- * this process or a restored one — reproduces the original result
- * bit-for-bit. Checkpoints store completed results verbatim and
- * pending specs for deterministic re-execution; the checkpoint file
- * uses the same versioned envelope (common/snapshot.hh) as machine
- * snapshots, so truncation/corruption/version skew is rejected with a
- * clear error.
+ * against the *daemon-global job id* at admission (never the worker or
+ * the dispatch order), so re-running a checkpointed pending job — in
+ * this process or a restored one, on any worker count — reproduces
+ * the original result bit-for-bit. Checkpoints store completed results
+ * verbatim and pending specs for deterministic re-execution; the
+ * checkpoint file uses the same versioned envelope (common/snapshot.hh)
+ * as machine snapshots, so truncation/corruption/version skew is
+ * rejected with a clear error.
  *
  * Shutdown paths:
  *  - {"op":"shutdown"}: stop admitting, run every queued job, exit.
- *  - SIGINT/SIGTERM (self-pipe): stop admitting, finish the in-flight
- *    batch, auto-checkpoint still-queued jobs to cfg.autosavePath.
+ *  - SIGINT/SIGTERM (self-pipe): stop admitting, let each worker
+ *    finish at most its one in-flight job, auto-checkpoint still-queued
+ *    jobs to cfg.autosavePath.
  */
 
 #ifndef TTDA_DAEMON_DAEMON_HH
@@ -49,6 +52,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/fault.hh"
@@ -88,15 +92,19 @@ enum class JobState : std::uint8_t
     Failed = 3
 };
 
+/** A finished job's result: the alternative of the job's own tier
+ *  (monostate until Done). */
+using JobResult = std::variant<std::monostate, serve::FleetJobResult,
+                               serve::VnFleetJobResult>;
+
 /** One row of the daemon's job table. */
 struct JobRecord
 {
     std::uint64_t id = 0;
     JobSpec spec;
     JobState state = JobState::Queued;
-    serve::FleetJobResult result;    //!< ttda tier, when Done
-    serve::VnFleetJobResult vnResult; //!< vn tier, when Done
-    std::string error;               //!< when Failed
+    JobResult result;  //!< when Done
+    std::string error; //!< when Failed
 };
 
 /** Daemon construction parameters. */
@@ -107,7 +115,12 @@ struct DaemonConfig
     std::uint16_t port = 0;
     ttda::MachineConfig machine;    //!< replica configuration
     vn::VnMachineConfig vnMachine;  //!< vn tier configuration
-    serve::FleetConfig fleet;       //!< workers etc. (both tiers)
+    /** Worker threads, each owning one warm ttda replica (vn jobs run
+     *  on a fresh machine in the same worker). Clamped below by 1. */
+    unsigned workers = 1;
+    /** Capture each ttda job's dumpStatsJson() into its result — the
+     *  bit-identity witness; costs a serialization per job. */
+    bool captureStatsJson = false;
     /** Admission control: at most this many jobs Queued at once. */
     std::size_t maxQueuedJobs = 64;
     /** Admission control: per-job request-count cap. */
@@ -119,7 +132,7 @@ struct DaemonConfig
 
 /**
  * The daemon. Usage: construct, start() (binds the socket and spawns
- * the executor; port() is valid after), then serve() on the thread
+ * the workers; port() is valid after), then serve() on the thread
  * that should block in the network loop. requestShutdown() is the
  * programmatic SIGTERM — signal handlers call signalFd() writes.
  */
@@ -132,17 +145,18 @@ class Daemon
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
-    /** Bind + listen + spawn the executor thread. Throws
+    /** Bind + listen + build the replicas + spawn the workers. Throws
      *  std::runtime_error on socket failure. */
     void start();
 
     /** The bound port (valid after start()). */
     std::uint16_t port() const { return port_; }
 
-    /** Run the poll() loop; returns when the daemon has shut down. */
+    /** Run the poll() loop; returns when the daemon has shut down and
+     *  its workers have been joined. */
     void serve();
 
-    /** Trigger the signal-path shutdown (finish in-flight batch,
+    /** Trigger the signal-path shutdown (finish in-flight jobs,
      *  auto-checkpoint queued jobs). Async-signal-safe. */
     void requestShutdown();
 
@@ -155,8 +169,11 @@ class Daemon
     void saveCheckpoint(const std::string &path);
 
     /** Load a checkpoint into an idle daemon (call before serve(), or
-     *  via the restore op while the job table is empty). */
-    void loadCheckpoint(const std::string &path);
+     *  via the restore op while the job table is empty). Returns the
+     *  number of jobs it left pending (not Done or Failed), counted
+     *  when the table was installed — workers may start on them at
+     *  once. */
+    std::uint64_t loadCheckpoint(const std::string &path);
 
   private:
     struct Conn
@@ -172,14 +189,14 @@ class Daemon
     {
         None = 0,
         Drain = 1,    //!< shutdown op: run every queued job first
-        Immediate = 2 //!< signal: finish in-flight batch only
+        Immediate = 2 //!< signal: finish in-flight jobs only
     };
 
-    void executorLoop();
-    void runTtdaBatch(std::vector<std::uint64_t> ids,
-                      std::unique_lock<std::mutex> &lk);
-    void runVnBatch(std::vector<std::uint64_t> ids,
-                    std::unique_lock<std::mutex> &lk);
+    void workerLoop(unsigned worker);
+    JobResult runJob(unsigned worker, std::uint64_t id,
+                     const JobSpec &spec);
+    void stopWorkers(); //!< Stop::Immediate unless already stopping
+    void joinWorkers();
     void wakeLoop();
 
     // Request handling (network thread; lock taken inside).
@@ -198,16 +215,14 @@ class Daemon
     DaemonConfig cfg_;
     graph::Program program_; //!< all named workloads, built once
     std::map<std::string, std::uint16_t> workloadCb_;
-    std::unique_ptr<serve::TtdaFleet> fleet_;
-    std::unique_ptr<serve::VnFleet> vnFleet_;
+    /** One per worker; built in start() before any worker runs. */
+    std::vector<serve::TtdaReplica> replicas_;
 
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     int sigPipe_[2] = {-1, -1};  //!< signal self-pipe
-    int wakePipe_[2] = {-1, -1}; //!< executor -> network loop
+    int wakePipe_[2] = {-1, -1}; //!< workers -> network loop
     std::vector<Conn> conns_;
-
-    std::thread executor_;
 
     // Shared state; everything below is guarded by mu_.
     mutable std::mutex mu_;
@@ -217,21 +232,17 @@ class Daemon
     std::uint64_t nextId_ = 1;
     Stop stop_ = Stop::None;
     bool draining_ = false;  //!< no further admissions
-    bool execDone_ = false;  //!< executor thread has exited its loop
+    std::size_t liveWorkers_ = 0; //!< workers not yet out of their loop
     std::uint64_t admitted_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t requestsCompleted_ = 0;
-    std::uint64_t batches_ = 0;
-    std::uint64_t steals_ = 0; //!< accumulated across batches
-    std::vector<std::uint64_t> jobsPerWorker_; //!< accumulated
+    std::uint64_t dispatches_ = 0; //!< jobs handed to a worker
+    std::vector<std::uint64_t> jobsPerWorker_; //!< both tiers
     std::vector<std::string> pendingFrames_;
-};
 
-/** Resolve a fault plan at admission: seed 0 becomes a stable
- *  derivation from (machine seed, daemon job id). */
-sim::fault::FaultPlan resolveJobFaults(const sim::fault::FaultPlan &plan,
-                                       std::uint64_t machineSeed,
-                                       std::uint64_t jobId);
+    /** Declared last: they use everything above. */
+    std::vector<std::thread> workers_;
+};
 
 } // namespace srv
 

@@ -42,7 +42,8 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --port N          TCP port on 127.0.0.1 (default 0 = "
         "ephemeral)\n"
-        "  --workers N       fleet workers (default 2)\n"
+        "  --workers N       worker threads, one warm replica each "
+        "(default 2)\n"
         "  --pes N           ttda PEs per replica (default 8)\n"
         "  --threads N       host threads per replica (default 1)\n"
         "  --seed N          machine seed (default 1)\n"
@@ -81,8 +82,8 @@ main(int argc, char **argv)
     cfg.machine.numPEs = 8;
     cfg.machine.threads = 1;
     cfg.machine.latencyStats = true; // per-request latency histograms
-    cfg.fleet.workers = 2;
-    cfg.fleet.captureStatsJson = true; // the bit-identity witness
+    cfg.workers = 2;
+    cfg.captureStatsJson = true; // the bit-identity witness
     std::string restorePath;
 
     for (int i = 1; i < argc; ++i) {
@@ -90,8 +91,7 @@ main(int argc, char **argv)
         if (a == "--port")
             cfg.port = static_cast<std::uint16_t>(numArg(argc, argv, i));
         else if (a == "--workers")
-            cfg.fleet.workers =
-                static_cast<unsigned>(numArg(argc, argv, i));
+            cfg.workers = static_cast<unsigned>(numArg(argc, argv, i));
         else if (a == "--pes")
             cfg.machine.numPEs =
                 static_cast<std::uint32_t>(numArg(argc, argv, i));

@@ -19,68 +19,78 @@ engineConfig(const FleetConfig &cfg)
     return ec;
 }
 
-/** Resolve a job's fault plan: seed 0 becomes a (machine seed, job
- *  id) derivation so two jobs with the same plan shape still draw
- *  independent fault streams — and the derivation is stable whatever
- *  worker picks the job up. */
-sim::fault::FaultPlan
-jobPlan(const FleetJob &job, std::size_t jobIndex,
-        std::uint64_t machineSeed)
+ttda::MachineConfig
+darkConfig(ttda::MachineConfig cfg)
 {
-    sim::fault::FaultPlan plan = job.faults;
-    if (plan.enabled() && plan.seed == 0)
-        plan.seed = sim::deriveJobSeed(machineSeed, jobIndex);
-    return plan;
+    cfg.trace = nullptr;
+    cfg.tracer = nullptr;
+    cfg.metrics = nullptr;
+    return cfg;
 }
 
 } // namespace
 
+sim::fault::FaultPlan
+resolveJobFaults(const sim::fault::FaultPlan &plan,
+                 std::uint64_t machineSeed, std::uint64_t jobId)
+{
+    sim::fault::FaultPlan resolved = plan;
+    if (resolved.enabled() && resolved.seed == 0)
+        resolved.seed = sim::deriveJobSeed(machineSeed, jobId);
+    return resolved;
+}
+
+TtdaReplica::TtdaReplica(const graph::Program &program,
+                         ttda::MachineConfig machine,
+                         bool captureStatsJson)
+    : machine_(std::make_unique<ttda::Machine>(
+          program, darkConfig(std::move(machine)))),
+      captureStatsJson_(captureStatsJson)
+{
+}
+
+FleetJobResult
+TtdaReplica::run(const FleetJob &job, std::uint64_t jobId)
+{
+    ttda::Machine &m = *machine_;
+    m.reset();
+    m.setFaultPlan(resolveJobFaults(job.faults, m.config().seed, jobId));
+    for (const FleetRequest &req : job.requests)
+        m.submit(job.cb, req.args, req.arrival);
+
+    FleetJobResult r;
+    r.outputs = m.serve();
+    r.cycles = m.cycles();
+    r.deadlocked = m.deadlocked();
+    r.submitted = m.requestsSubmitted();
+    r.completed = m.requestsCompleted();
+    r.watermarkHits = m.watermarkHits();
+    r.latency = m.requestLatency();
+    if (captureStatsJson_) {
+        std::ostringstream os;
+        m.dumpStatsJson(os);
+        r.statsJson = os.str();
+    }
+    return r;
+}
+
 TtdaFleet::TtdaFleet(const graph::Program &program,
                      const ttda::MachineConfig &machine,
                      const FleetConfig &cfg)
-    : cfg_(cfg), fleet_(engineConfig(cfg))
+    : fleet_(engineConfig(cfg))
 {
-    ttda::MachineConfig replicaCfg = machine;
-    // W replicas interleaving events into one sink would be
-    // host-ordered; fleets run dark and report deterministic results.
-    replicaCfg.trace = nullptr;
-    replicaCfg.tracer = nullptr;
-    replicaCfg.metrics = nullptr;
     replicas_.reserve(fleet_.workers());
     for (unsigned w = 0; w < fleet_.workers(); ++w)
-        replicas_.push_back(
-            std::make_unique<ttda::Machine>(program, replicaCfg));
+        replicas_.emplace_back(program, machine, cfg.captureStatsJson);
 }
 
 std::vector<FleetJobResult>
 TtdaFleet::run(const std::vector<FleetJob> &jobs)
 {
     std::vector<FleetJobResult> results(jobs.size());
-    const std::uint64_t machineSeed =
-        replicas_.empty() ? 0 : replicas_[0]->config().seed;
-
     fleet_.run(jobs.size(), [&](unsigned worker, std::size_t j) {
-        ttda::Machine &m = *replicas_[worker];
-        const FleetJob &job = jobs[j];
-        m.reset();
-        m.setFaultPlan(jobPlan(job, j, machineSeed));
-        for (const FleetRequest &req : job.requests)
-            m.submit(job.cb, req.args, req.arrival);
-
-        FleetJobResult &r = results[j];
-        r.worker = worker;
-        r.outputs = m.serve();
-        r.cycles = m.cycles();
-        r.deadlocked = m.deadlocked();
-        r.submitted = m.requestsSubmitted();
-        r.completed = m.requestsCompleted();
-        r.watermarkHits = m.watermarkHits();
-        r.latency = m.requestLatency();
-        if (cfg_.captureStatsJson) {
-            std::ostringstream os;
-            m.dumpStatsJson(os);
-            r.statsJson = os.str();
-        }
+        results[j] = replicas_[worker].run(jobs[j], j);
+        results[j].worker = worker;
     });
     return results;
 }
@@ -94,29 +104,35 @@ TtdaFleet::mergedLatency(const std::vector<FleetJobResult> &results)
     return merged;
 }
 
+VnFleetJobResult
+runVnJob(vn::VnMachineConfig machine, const VnFleetJob &job)
+{
+    machine.metrics = nullptr;
+    vn::VnMachine m(std::move(machine));
+    workloads::VnServeDriver drv(m, job.requests);
+    drv.attach();
+    m.run();
+
+    VnFleetJobResult r;
+    r.cycles = m.cycles();
+    r.submitted = drv.submitted();
+    r.completed = drv.completed();
+    r.latency = drv.latency();
+    return r;
+}
+
 VnFleet::VnFleet(const vn::VnMachineConfig &machine,
                  const FleetConfig &cfg)
-    : cfg_(cfg), fleet_(engineConfig(cfg)), machineCfg_(machine)
+    : fleet_(engineConfig(cfg)), machineCfg_(machine)
 {
-    machineCfg_.metrics = nullptr; // same darkness rule as TtdaFleet
 }
 
 std::vector<VnFleetJobResult>
 VnFleet::run(const std::vector<VnFleetJob> &jobs)
 {
     std::vector<VnFleetJobResult> results(jobs.size());
-
     fleet_.run(jobs.size(), [&](unsigned, std::size_t j) {
-        vn::VnMachine m(machineCfg_);
-        workloads::VnServeDriver drv(m, jobs[j].requests);
-        drv.attach();
-        m.run();
-
-        VnFleetJobResult &r = results[j];
-        r.cycles = m.cycles();
-        r.submitted = drv.submitted();
-        r.completed = drv.completed();
-        r.latency = drv.latency();
+        results[j] = runVnJob(machineCfg_, jobs[j]);
     });
     return results;
 }

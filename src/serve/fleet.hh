@@ -5,22 +5,27 @@
  * The generic engine (sim::Fleet) knows nothing about machines; this
  * layer binds it to the tiers:
  *
- *  - TtdaFleet — W warm ttda::Machine replicas, constructed once and
- *    recycled per job through Machine::reset(). A job is a seeded
- *    (workload, args, fault-plan) tuple: one serving epoch — submit
- *    every request, serve() to quiescence, harvest outputs, counters,
- *    the latency histogram, and (optionally) the stats JSON. Because
- *    reset()-then-run is bit-identical to a fresh machine and every
- *    replica is constructed from the same config, *which* replica
- *    serves a job cannot affect its result — the fleet's determinism
- *    contract reduces to the machine's reset contract plus per-job
- *    seed derivation (sim::deriveJobSeed; fault plans with seed 0 get
- *    their injector seed from (machine seed, job id), never from the
- *    worker).
+ *  - TtdaFleet — W warm ttda::Machine replicas (TtdaReplica),
+ *    constructed once and recycled per job through Machine::reset().
+ *    A job is a seeded (workload, args, fault-plan) tuple: one serving
+ *    epoch — submit every request, serve() to quiescence, harvest
+ *    outputs, counters, the latency histogram, and (optionally) the
+ *    stats JSON. Because reset()-then-run is bit-identical to a fresh
+ *    machine and every replica is constructed from the same config,
+ *    *which* replica serves a job cannot affect its result — the
+ *    fleet's determinism contract reduces to the machine's reset
+ *    contract plus per-job seed derivation (resolveJobFaults: fault
+ *    plans with seed 0 get their injector seed from (machine seed, job
+ *    id), never from the worker).
  *
- *  - VnFleet — the von Neumann tier has no reset() fast path, so its
- *    fleet constructs a fresh vn::VnMachine per job inside the worker.
- *    Still deterministic: construction is pure, jobs are independent.
+ *  - VnFleet — the von Neumann tier has no reset() fast path, so each
+ *    job constructs a fresh vn::VnMachine inside the worker
+ *    (runVnJob). Still deterministic: construction is pure, jobs are
+ *    independent.
+ *
+ * TtdaReplica::run and runVnJob are the one per-job body of each tier;
+ * the fleets call them from sim::Fleet workers and the daemon
+ * (src/daemon) calls them from its own worker threads.
  *
  * Results come back in job-index order; merged views (aggregate
  *  latency) fold per-job histograms in that order, so aggregates are
@@ -87,19 +92,50 @@ struct FleetJobResult
     std::uint64_t completed = 0;
     std::uint64_t watermarkHits = 0;
     sim::Histogram latency{16.0, 4096}; //!< Machine::requestLatency
-    std::string statsJson; //!< when FleetConfig::captureStatsJson
+    std::string statsJson; //!< when captureStatsJson is on
     /** Which worker served the job — host-order observability, never
      *  part of the deterministic result fields above. */
     unsigned worker = 0;
 };
 
+/** A job's fault plan as it runs: seed 0 becomes
+ *  sim::deriveJobSeed(machineSeed, jobId), so two jobs with the same
+ *  plan shape draw independent fault streams, and the stream is
+ *  stable whatever worker picks the job up. Plans with a nonzero seed
+ *  (and disabled plans) pass through unchanged, so resolving twice is
+ *  harmless. */
+sim::fault::FaultPlan resolveJobFaults(const sim::fault::FaultPlan &plan,
+                                       std::uint64_t machineSeed,
+                                       std::uint64_t jobId);
+
 /**
- * A pool of warm ttda::Machine replicas behind a sim::Fleet.
+ * One warm ttda::Machine serving jobs one epoch at a time.
  *
- * Replicas (one per worker) are built once from (program, config) —
- * observability sinks (trace, tracer, metrics) are forced off, since
- * W replicas interleaving into one stream would be host-ordered — and
- * reused across jobs and across run() batches via reset().
+ * Built once from (program, config) with its observability sinks
+ * (trace, tracer, metrics) forced off — several replicas interleaving
+ * events into one sink would be host-ordered — and recycled per job
+ * through reset(). Not thread-safe: one worker owns a replica.
+ */
+class TtdaReplica
+{
+  public:
+    TtdaReplica(const graph::Program &program, ttda::MachineConfig machine,
+                bool captureStatsJson);
+
+    /** Serve `job` as job `jobId`: reset → setFaultPlan (seed 0
+     *  resolved against jobId) → submit → serve → harvest. The result
+     *  is bit-identical to a fresh machine's; its `worker` field is
+     *  left 0 for the caller. */
+    FleetJobResult run(const FleetJob &job, std::uint64_t jobId);
+
+  private:
+    std::unique_ptr<ttda::Machine> machine_;
+    bool captureStatsJson_;
+};
+
+/**
+ * A pool of warm TtdaReplicas behind a sim::Fleet: one replica per
+ * worker, reused across jobs and across run() batches.
  */
 class TtdaFleet
 {
@@ -126,9 +162,8 @@ class TtdaFleet
     mergedLatency(const std::vector<FleetJobResult> &results);
 
   private:
-    FleetConfig cfg_;
     sim::Fleet fleet_;
-    std::vector<std::unique_ptr<ttda::Machine>> replicas_;
+    std::vector<TtdaReplica> replicas_;
 };
 
 /** One von Neumann fleet job: a request list for a fresh machine. */
@@ -145,6 +180,11 @@ struct VnFleetJobResult
     std::uint64_t completed = 0;
     sim::Histogram latency{16.0, 4096}; //!< VnServeDriver::latency
 };
+
+/** Serve one von Neumann job on a fresh machine built from `machine`
+ *  (metrics sink forced off, like TtdaReplica's sinks). */
+VnFleetJobResult runVnJob(vn::VnMachineConfig machine,
+                          const VnFleetJob &job);
 
 /**
  * The von Neumann tier's fleet: same engine, fresh machine per job
@@ -165,7 +205,6 @@ class VnFleet
     std::uint64_t steals() const { return fleet_.steals(); }
 
   private:
-    FleetConfig cfg_;
     sim::Fleet fleet_;
     vn::VnMachineConfig machineCfg_;
 };

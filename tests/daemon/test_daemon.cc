@@ -1,8 +1,9 @@
 /**
  * @file
  * End-to-end tests of the simulation daemon: the JSON protocol over a
- * real loopback socket, deterministic job results, admission control,
- * checkpoint/restore identity, and the graceful-signal autosave path.
+ * real loopback socket, deterministic job results (for any worker
+ * count), admission control, checkpoint/restore identity, the
+ * graceful-signal autosave path, and idle workers that sleep.
  */
 
 #include <arpa/inet.h>
@@ -12,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -97,8 +99,8 @@ testConfig()
     cfg.machine.latencyStats = true;
     // Jobs inject drops; ReliableNet is what lets epochs complete.
     cfg.machine.reliableNet = true;
-    cfg.fleet.workers = 2;
-    cfg.fleet.captureStatsJson = true;
+    cfg.workers = 2;
+    cfg.captureStatsJson = true;
     return cfg;
 }
 
@@ -245,6 +247,108 @@ TEST(Daemon, SubmitStatusResultShutdown)
         dispatched += fleet.get("jobsPerWorker").at(w).asU64();
     EXPECT_EQ(dispatched, 3u);
 
+    h.shutdownAndJoin(c);
+}
+
+/** The deterministic identity of a vn job result. */
+std::string
+vnResultKey(const Value &resp)
+{
+    auto key = Value::obj();
+    key.set("cycles", resp.get("cycles"));
+    key.set("completed", resp.get("completed"));
+    key.set("latency", resp.get("latency"));
+    return key.dump();
+}
+
+/** Submit a fixed mix of ttda and vn jobs (some with seed-0 fault
+ *  plans, resolved against the daemon job id) on a fresh daemon with
+ *  `workers` workers; return each job's deterministic result key. */
+std::vector<std::string>
+mixedJobKeys(unsigned workers)
+{
+    auto cfg = testConfig();
+    cfg.workers = workers;
+    DaemonHarness h(cfg);
+    Client c(h.daemon().port());
+
+    std::vector<Value> specs;
+    for (std::uint64_t s = 1; s <= 4; ++s) {
+        Value req = fibSubmit(6 + static_cast<std::int64_t>(s % 3), 4, s);
+        if (s % 2 == 0) {
+            auto faults = Value::obj();
+            faults.set("dropRate", Value::num(0.02));
+            req.set("faults", std::move(faults)); // seed 0
+        }
+        specs.push_back(std::move(req));
+
+        auto vn = Value::obj();
+        vn.set("op", Value::str("submit"));
+        vn.set("tier", Value::str("vn"));
+        vn.set("requests", Value::intNum(3));
+        vn.set("seed", Value::intNum(s));
+        vn.set("loads", Value::intNum(s + 1));
+        specs.push_back(std::move(vn));
+    }
+
+    std::vector<std::uint64_t> ids;
+    for (const Value &spec : specs) {
+        const Value sub = c.request(spec);
+        EXPECT_TRUE(sub.get("ok").asBool()) << sub.dump();
+        ids.push_back(sub.get("id").asU64());
+    }
+    std::vector<std::string> keys;
+    for (const std::uint64_t id : ids) {
+        const Value done = awaitDone(c, id);
+        EXPECT_EQ(done.get("state").asStr(), "done") << done.dump();
+        keys.push_back(done.get("tier").asStr() == "vn" ? vnResultKey(done)
+                                                        : resultKey(done));
+    }
+
+    // One dispatch per job, and the per-worker tally counts both tiers.
+    auto statusReq = Value::obj();
+    statusReq.set("op", Value::str("status"));
+    const Value st = c.request(statusReq);
+    EXPECT_EQ(st.get("srv").get("batches").asU64(), specs.size());
+    const Value &perWorker = st.get("fleet").get("jobsPerWorker");
+    EXPECT_EQ(perWorker.size(), workers);
+    std::uint64_t dispatched = 0;
+    for (std::size_t w = 0; w < perWorker.size(); ++w)
+        dispatched += perWorker.at(w).asU64();
+    EXPECT_EQ(dispatched, specs.size());
+
+    h.shutdownAndJoin(c);
+    return keys;
+}
+
+TEST(Daemon, ResultsIndependentOfWorkerCount)
+{
+    const std::vector<std::string> one = mixedJobKeys(1);
+    const std::vector<std::string> three = mixedJobKeys(3);
+    ASSERT_EQ(one.size(), three.size());
+    for (std::size_t j = 0; j < one.size(); ++j)
+        EXPECT_EQ(one[j], three[j]) << "job " << j + 1;
+}
+
+double
+processCpuMs()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+TEST(Daemon, IdleWorkersSleep)
+{
+    DaemonHarness h(testConfig());
+    const double before = processCpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double used = processCpuMs() - before;
+    EXPECT_LT(used, 100.0) << "an idle daemon burned " << used
+                           << " ms of CPU in 500 ms";
+
+    Client c(h.daemon().port());
     h.shutdownAndJoin(c);
 }
 
