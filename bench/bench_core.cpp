@@ -75,20 +75,16 @@ finish(std::string name, std::uint64_t cycles, std::uint64_t items,
     return r;
 }
 
-/** One TTDA run of the E1 row-pipeline workload at a given latency.
- *  `pes`/`threads` select the machine width and the parallel engine's
- *  shard count (simCycles is identical at any thread count — the
- *  engine is deterministic; only hostMs varies). */
+/** One TTDA run of the E1 row-pipeline workload at a given latency on
+ *  a `pes`-wide machine. */
 Result
 ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
            const std::string &name, sim::Cycle net_latency,
            std::int64_t n, std::uint32_t pes = 4,
-           std::uint32_t threads = 1,
            sim::MetricsRecorder *metrics = nullptr)
 {
     ttda::MachineConfig cfg;
     cfg.numPEs = pes;
-    cfg.threads = threads;
     cfg.netLatency = net_latency;
     // The "_metrics" A/A overhead row's own recorder: sampled but
     // never exported — the row exists to price the sampling itself.
@@ -227,22 +223,17 @@ main(int argc, char **argv)
     // "_metrics"-suffixed rows as informational (no floor gating).
     sim::MetricsRecorder aaRecorder;
     results.push_back(ttdaConfig(opts, compiled, "ttda_net64_metrics",
-                                 64, 24, 4, 1, &aaRecorder));
+                                 64, 24, 4, &aaRecorder));
 
-    // Thread-scaling sweep for the deterministic parallel engine: a
-    // 64-PE machine sharded over 1/2/4/8 host threads at each network
-    // latency. simCycles must be identical within a latency row (the
-    // determinism contract); hostMs shows the scaling — or, on a
-    // single-CPU host, the two-phase tick's overhead.
+    // A 64-PE machine at each network latency. The "_t1" suffix keeps
+    // the names BENCH_core.json and scripts/bench_guard.sh key the
+    // rows' floors on.
     for (const sim::Cycle lat : {sim::Cycle{2}, sim::Cycle{64},
                                  sim::Cycle{256}}) {
-        for (const std::uint32_t t : {1u, 2u, 4u, 8u}) {
-            results.push_back(ttdaConfig(
-                opts, compiled,
-                "ttda_pe64_net" + std::to_string(lat) + "_t" +
-                    std::to_string(t),
-                lat, 24, 64, t));
-        }
+        results.push_back(ttdaConfig(
+            opts, compiled,
+            "ttda_pe64_net" + std::to_string(lat) + "_t1", lat, 24,
+            64));
     }
 
     sim::Table t("Simulator core throughput (best of " +

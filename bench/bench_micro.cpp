@@ -5,7 +5,7 @@
  * simulator itself, complementing the E1-E11 experiment binaries.
  *
  * Arguments go through bench::SimOptions like every other bench:
- * --threads/--seed/--fault-seed/--fault-plan/--reliable shape the
+ * --seed/--fault-seed/--fault-plan/--reliable shape the
  * machine configs below, and --reps=N forwards to google-benchmark as
  * --benchmark_repetitions=N. Native --benchmark_* flags still work —
  * they are split out before SimOptions sees (and would reject) them.

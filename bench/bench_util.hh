@@ -61,8 +61,6 @@ emulModeName(EmulMode m)
  *                       (wm,fire,net,mem,istr,sched; default all)
  *   --stats-json=FILE   write the machine's statistics as one JSON
  *                       document
- *   --threads=N         host threads for the deterministic parallel
- *                       engine (results identical to --threads=1)
  *   --seed=N            machine root seed (stats JSON records it in
  *                       the "meta" group, so any run is replayable)
  *   --fault-seed=N      enable fault injection with the canonical
@@ -83,8 +81,7 @@ emulModeName(EmulMode m)
  *                       restricts them
  *   --metrics[=N]       sample a deterministic time series (per-PE /
  *                       per-core activity, queue depths, backlogs)
- *                       every N sim-cycles (default 1024); the series
- *                       is bit-identical for any --threads value
+ *                       every N sim-cycles (default 1024)
  *   --metrics-json=FILE write the time series as JSON (default:
  *                       stdout when --metrics is given without a file)
  *   --metrics-csv=FILE  also write the time series as CSV
@@ -123,12 +120,6 @@ class SimOptions
                     std::string(arg.substr(13)));
             } else if (arg.rfind("--stats-json=", 0) == 0) {
                 statsPath_ = std::string(arg.substr(13));
-            } else if (arg.rfind("--threads=", 0) == 0) {
-                threads_ = static_cast<std::uint32_t>(
-                    std::stoul(std::string(arg.substr(10))));
-                if (threads_ == 0)
-                    sim::fatal("--threads must be >= 1");
-                threadsSet_ = true;
             } else if (arg.rfind("--seed=", 0) == 0) {
                 seed_ = std::stoull(std::string(arg.substr(7)));
                 seedSet_ = true;
@@ -189,7 +180,7 @@ class SimOptions
                 warmupSet_ = true;
             } else if (arg.size() > 2 && arg.rfind("--", 0) == 0) {
                 sim::fatal("unknown flag '{}' (shared flags: --trace, "
-                           "--trace-cats, --stats-json, --threads, "
+                           "--trace-cats, --stats-json, "
                            "--seed, --fault-seed, --fault-plan, "
                            "--reliable, --emul, --metrics, "
                            "--metrics-json, --metrics-csv, --profile, "
@@ -215,8 +206,6 @@ class SimOptions
         // when no trace file was requested.
         if (!statsPath_.empty())
             cfg.latencyStats = true;
-        if (threadsSet_)
-            cfg.threads = threads_;
         if (metrics_)
             cfg.metrics = &*metrics_;
         if (profile_)
@@ -229,14 +218,11 @@ class SimOptions
     {
         if (tracer.active())
             cfg.tracer = &tracer;
-        if (threadsSet_)
-            cfg.threads = threads_;
         if (metrics_)
             cfg.metrics = &*metrics_;
         applyCommon(cfg);
     }
 
-    std::uint32_t threads() const { return threads_; }
     bool faultsRequested() const { return faultPlanSet_ || faultSeedSet_; }
     bool reliable() const { return reliable_; }
     EmulMode emulMode() const { return emulMode_; }
@@ -390,8 +376,6 @@ class SimOptions
 
     std::string tracePath_;
     std::string statsPath_;
-    std::uint32_t threads_ = 1;
-    bool threadsSet_ = false;
     std::uint64_t seed_ = 0;
     bool seedSet_ = false;
     std::uint64_t faultSeed_ = 0;

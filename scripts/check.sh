@@ -139,7 +139,7 @@ EOF
 
 # --- Fleet smoke ---------------------------------------------------
 # 8. The deterministic fleet under the sanitizers: job-queue /
-#    completion-ring unit suites, the spin-budget resolution tests,
+#    completion-ring unit suites, the WorkerPool suites,
 #    and the warm-replica fleets at workers {1,2,4} with their
 #    bit-identity asserts (worker-count independence, fleet ==
 #    single machine, replica reuse == pristine fleet). Warm replicas

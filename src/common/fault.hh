@@ -8,7 +8,7 @@
  * demonstrated under benign delay. This layer injects loss,
  * duplication, corruption, delay spikes, link-down windows, PE stalls
  * and memory-module timeouts — deterministically, so a faulty run is
- * exactly replayable and bit-identical across host thread counts.
+ * exactly replayable.
  *
  * Determinism contract
  * --------------------
@@ -16,9 +16,8 @@
  * owned by the FaultInjector, advanced exactly once per packet that
  * reaches a network's delivery point (Network::deliver). Packet
  * delivery order is a deterministic function of the simulated machine
- * (the parallel engine injects and delivers packets in PE-index order
- * regardless of host thread count — see docs/ARCHITECTURE.md,
- * "Deterministic parallel engine"), so the nth decision always applies
+ * (the tick injects and delivers packets in PE-index order), so the
+ * nth decision always applies
  * to the same packet: decisions are effectively keyed on the
  * (cycle, delivery-sequence) pair without storing either. Scheduled
  * events (link-down / PE-stall / memory-timeout windows) are keyed on

@@ -58,19 +58,13 @@ CompletionRing::push(std::uint32_t job, std::uint32_t worker)
     ring_[slot] = Entry{job, worker};
 }
 
-Fleet::Fleet(Config cfg)
-    : cfg_(cfg),
-      pool_(cfg.workers < 1 ? 1 : cfg.workers, cfg.spinBudget)
-{
-}
+Fleet::Fleet(Config cfg) : pool_(cfg.workers < 1 ? 1 : cfg.workers) {}
 
 void
 Fleet::run(std::size_t numJobs,
            const std::function<void(unsigned, std::size_t)> &runJob)
 {
-    const std::size_t lanes =
-        cfg_.queueShards == 0 ? pool_.size() : cfg_.queueShards;
-    queue_ = std::make_unique<JobQueue>(numJobs, lanes);
+    queue_ = std::make_unique<JobQueue>(numJobs, pool_.size());
     ring_ = std::make_unique<CompletionRing>(numJobs);
     jobsPerWorker_.assign(pool_.size(), 0);
 

@@ -2,12 +2,10 @@
  * @file
  * Deterministic job-level parallelism: the fleet engine.
  *
- * The WorkerPool parallelizes *within* one machine's tick — PEs
- * sharded across host threads, two barrier crossings per simulated
- * cycle. That shape saturates quickly on small configurations: an
- * 8-PE machine cannot keep 8 host threads busy through a barrier
- * every few microseconds. Serving workloads offer the missing layer:
- * *independent* jobs (whole simulation epochs) that need no
+ * One machine runs on one host thread: a barrier per simulated cycle
+ * costs more than the cycle's work (docs/ARCHITECTURE.md, "One host
+ * thread per machine"). Serving workloads offer the parallelism that
+ * does pay: *independent* jobs (whole simulation epochs) that need no
  * cross-job synchronization at all, the replica-pool shape inference
  * serving stacks use.
  *
@@ -166,7 +164,7 @@ class CompletionRing
  * The fleet engine: a persistent WorkerPool draining a JobQueue.
  *
  * One Fleet is built per worker count and reused across batches (the
- * pool's threads persist, like the machines' intra-tick pool). Each
+ * pool's threads persist between batches). Each
  * run() deals the batch across the queue lanes, runs every worker's
  * pull loop to quiescence, and leaves the completion ring and steal
  * count readable until the next run().
@@ -177,15 +175,9 @@ class Fleet
     struct Config
     {
         /** Worker count, including the calling thread (it runs jobs
-         *  too, as worker 0). Clamped below by 1. */
+         *  too, as worker 0). Clamped below by 1. The job queue gets
+         *  one lane per worker. */
         unsigned workers = 1;
-        /** Queue lanes; 0 = one per worker. */
-        std::size_t queueShards = 0;
-        /** Spin budget handed to the WorkerPool (kSpinAuto resolves
-         *  from SIM_SPIN_BUDGET / oversubscription; fleet workers park
-         *  at one barrier per *batch*, not per tick, so yielding is
-         *  nearly free here). */
-        int spinBudget = WorkerPool::kSpinAuto;
     };
 
     explicit Fleet(Config cfg);
@@ -223,7 +215,6 @@ class Fleet
     }
 
   private:
-    Config cfg_;
     WorkerPool pool_;
     std::unique_ptr<JobQueue> queue_;
     std::unique_ptr<CompletionRing> ring_;

@@ -9,10 +9,9 @@
  * spikes under faults — are visible over time without drowning in
  * per-token events.
  *
- * Determinism: the machines sample at the serial commit point of the
- * tick (after phase B and network receive), where every value is
- * already bit-identical across thread counts, so the recorded series
- * — timestamps and values — are bit-identical for any --threads.
+ * Determinism: the machines sample at the end of the tick (after
+ * network receive), a fixed point of a deterministic run, so the
+ * recorded series — timestamps and values — replay bit-identically.
  *
  * Bounded memory: when the row store reaches its capacity, every
  * odd-indexed row is dropped and the sampling interval doubles

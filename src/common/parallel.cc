@@ -1,7 +1,5 @@
 #include "common/parallel.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace sim
@@ -10,23 +8,12 @@ namespace sim
 namespace
 {
 
-/** Resolve kSpinAuto: SIM_SPIN_BUDGET wins, else spin only when the
- *  host has a hardware thread for every shard. A shard spinning on a
- *  core its barrier partner needs is pure livelock fuel — fleets
- *  nesting intra-machine pools oversubscribe routinely, and a 1-CPU
- *  CI container always does. */
+/** Spin only when the host has a hardware thread for every shard: a
+ *  shard spinning on a core its barrier partner needs only delays the
+ *  barrier. */
 int
 resolveSpin(unsigned threads)
 {
-    if (const char *env = std::getenv("SIM_SPIN_BUDGET")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        SIM_ASSERT_MSG(end != env && *end == '\0' && v >= 0,
-                       "SIM_SPIN_BUDGET must be a non-negative "
-                       "integer, got '{}'",
-                       env);
-        return static_cast<int>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw != 0 && threads > hw)
         return 0;
@@ -35,14 +22,10 @@ resolveSpin(unsigned threads)
 
 } // namespace
 
-WorkerPool::WorkerPool(unsigned threads, int spinBudget)
-    : threads_(threads < 1 ? 1 : threads),
-      spin_(spinBudget == kSpinAuto ? resolveSpin(threads_)
-                                    : spinBudget),
+WorkerPool::WorkerPool(unsigned threads)
+    : threads_(threads < 1 ? 1 : threads), spin_(resolveSpin(threads_)),
       errors_(threads_)
 {
-    SIM_ASSERT_MSG(spin_ >= 0, "spin budget must be >= 0, got {}",
-                   spin_);
     workers_.reserve(threads_ - 1);
     for (unsigned s = 1; s < threads_; ++s)
         workers_.emplace_back([this, s] { workerLoop(s); });
@@ -62,10 +45,10 @@ void
 WorkerPool::await(const std::atomic<std::uint64_t> &flag,
                   std::uint64_t target) const
 {
-    // Spin briefly (a tick is typically microseconds away), then yield
-    // so an oversubscribed host still makes progress. spin_ is 0 when
-    // the pool is oversubscribed: yield immediately and hand the core
-    // to whichever shard still has work.
+    // Spin briefly, then yield so an oversubscribed host still makes
+    // progress. spin_ is 0 when the pool is oversubscribed: yield
+    // immediately and hand the core to whichever shard still has
+    // work.
     for (int spin = 0; spin < spin_; ++spin) {
         if (flag.load(std::memory_order_acquire) >= target)
             return;

@@ -1,32 +1,24 @@
 /**
  * @file
- * A persistent worker pool for deterministic parallel simulation.
+ * A persistent worker pool: the thread team behind sim::Fleet.
  *
- * The machines shard their processing elements across host threads and
- * run each simulated cycle as a two-phase tick: phase A computes every
- * shard's cycle into thread-local staging buffers, then — after the
- * pool's barrier — phase B commits the buffered effects in shard-index
- * order on the caller's thread. The pool provides exactly the primitive
- * that shape needs: run(fn) executes fn(shard) once per shard, with the
- * caller participating as shard 0, and returns only when every shard
- * has finished.
+ * run(fn) executes fn(shard) once per shard, with the caller
+ * participating as shard 0, and returns only when every shard has
+ * finished. The fleet calls it once per batch; each shard then pulls
+ * whole jobs (simulation epochs) from a shared queue until the batch
+ * is drained. The machines themselves never use a pool: each one
+ * runs on the thread that calls it.
  *
  * Design points:
- *  - Workers are created once and parked between ticks; a tick costs
+ *  - Workers are created once and parked between runs; a run costs
  *    two generation-counted barrier crossings, not thread creation.
- *  - Waiting spins briefly and then yields; the pool targets machines
- *    where every hardware thread is running a shard, so sleeping on a
- *    condition variable per tick would dominate short cycles.
- *  - The spin budget adapts to the host: when the pool asks for more
- *    shards than the machine has hardware threads (a fleet of
- *    machines nesting intra-machine pools, or a CI container pinned
- *    to one CPU), spinning only steals cycles from the thread that
- *    would let the barrier complete, so oversubscribed pools go
- *    yield-first. `SIM_SPIN_BUDGET` overrides the budget explicitly
- *    (0 = always yield), for experiments and stubborn hosts.
+ *  - Waiting spins kDefaultSpin iterations and then yields. When the
+ *    pool has more shards than the host has hardware threads, a
+ *    spinning shard only steals the core another shard needs to
+ *    finish, so an oversubscribed pool yields immediately.
  *  - Exceptions thrown by shard functions are captured and the
  *    lowest-indexed shard's exception is rethrown from run() after the
- *    barrier, so a failing cycle cannot leave workers running.
+ *    barrier, so a failing job cannot leave workers running.
  *  - The destructor joins all workers; it must not be called from a
  *    shard function.
  */
@@ -52,22 +44,14 @@ class WorkerPool
      * @param threads total shard count, including the calling thread;
      *                clamped below by 1. `threads - 1` host threads are
      *                spawned.
-     * @param spinBudget barrier spin iterations before falling back to
-     *                yielding; kSpinAuto (the default) resolves to the
-     *                SIM_SPIN_BUDGET environment variable when set,
-     *                otherwise to 0 (yield immediately) when `threads`
-     *                exceeds the hardware concurrency and to
-     *                kDefaultSpin on a machine with a core per shard.
      */
-    explicit WorkerPool(unsigned threads, int spinBudget = kSpinAuto);
+    explicit WorkerPool(unsigned threads);
 
-    /** Sentinel: resolve the spin budget from the environment and the
-     *  host's core count (see the constructor). */
-    static constexpr int kSpinAuto = -1;
     /** Spin iterations used when every shard has a hardware thread. */
     static constexpr int kDefaultSpin = 4096;
 
-    /** The budget this pool resolved to (tests and diagnostics). */
+    /** Barrier spin iterations before yielding: kDefaultSpin, or 0
+     *  when the pool is oversubscribed (tests and diagnostics). */
     int spinBudget() const { return spin_; }
 
     WorkerPool(const WorkerPool &) = delete;

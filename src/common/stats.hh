@@ -107,8 +107,8 @@ class Accumulator
 
     /** Fold another accumulator's samples into this one. Exact for the
      *  integer-valued quantities the machines sample (sums stay below
-     *  2^53), so merging per-shard accumulators in any order matches
-     *  sequential sampling bit-for-bit. */
+     *  2^53), so merging partial accumulators (one per fleet job, say)
+     *  in any order matches sequential sampling bit-for-bit. */
     void
     merge(const Accumulator &other)
     {
@@ -206,11 +206,11 @@ class Histogram
         bins_[idx] += n;
     }
 
-    /** Fold another histogram into this one; used to combine per-shard
-     *  histograms after a parallel run. An empty `other` merges as a
+    /** Fold another histogram into this one; used to combine per-job
+     *  latency histograms across a fleet. An empty `other` merges as a
      *  no-op whatever its geometry; merging real mass into an empty
      *  histogram adopts the source geometry (a default-constructed
-     *  shard histogram must not assert away — or drop — the
+     *  accumulator must not assert away — or drop — the
      *  underflow/overflow counts of the populated side). */
     void
     merge(const Histogram &other)

@@ -53,6 +53,18 @@ appendStringField(std::string &out, const char *key, std::string_view v)
     out += '"';
 }
 
+/** Close an event object, with its `args` body when non-empty. */
+void
+appendArgs(std::string &out, std::string_view args)
+{
+    if (!args.empty()) {
+        out += ",\"args\":{";
+        out += args;
+        out += '}';
+    }
+    out += '}';
+}
+
 } // namespace
 
 Tracer::~Tracer()
@@ -104,16 +116,6 @@ void
 Tracer::commit()
 {
     *sink_ << (first_ ? "\n" : ",\n") << buf_;
-    first_ = false;
-    ++events_;
-}
-
-void
-Tracer::commitLine(const std::string &line)
-{
-    if (!sink_)
-        return;
-    *sink_ << (first_ ? "\n" : ",\n") << line;
     first_ = false;
     ++events_;
 }
@@ -197,69 +199,20 @@ Tracer::threadName(std::uint32_t pid, std::uint32_t tid,
 }
 
 void
-Tracer::formatComplete(std::string &out, Category cat,
-                       std::uint32_t pid, std::uint32_t tid,
-                       std::string_view name, Cycle ts, Cycle dur,
-                       std::string_view args)
-{
-    out = "{\"ph\":\"X\"";
-    appendStringField(out, "name", name);
-    appendStringField(out, "cat", categoryName(cat));
-    appendField(out, "pid", pid);
-    appendField(out, "tid", tid);
-    appendField(out, "ts", ts);
-    appendField(out, "dur", dur);
-    if (!args.empty()) {
-        out += ",\"args\":{";
-        out += args;
-        out += '}';
-    }
-    out += '}';
-}
-
-void
-Tracer::formatInstant(std::string &out, Category cat, std::uint32_t pid,
-                      std::uint32_t tid, std::string_view name,
-                      Cycle ts, std::string_view args)
-{
-    out = "{\"ph\":\"i\",\"s\":\"t\"";
-    appendStringField(out, "name", name);
-    appendStringField(out, "cat", categoryName(cat));
-    appendField(out, "pid", pid);
-    appendField(out, "tid", tid);
-    appendField(out, "ts", ts);
-    if (!args.empty()) {
-        out += ",\"args\":{";
-        out += args;
-        out += '}';
-    }
-    out += '}';
-}
-
-void
-Tracer::formatCounter(std::string &out, Category cat, std::uint32_t pid,
-                      std::string_view name, Cycle ts, double value)
-{
-    out = "{\"ph\":\"C\"";
-    appendStringField(out, "name", name);
-    appendStringField(out, "cat", categoryName(cat));
-    appendField(out, "pid", pid);
-    appendField(out, "ts", ts);
-    char num[40];
-    std::snprintf(num, sizeof num, "%.17g", value);
-    out += ",\"args\":{\"value\":";
-    out += num;
-    out += "}}";
-}
-
-void
 Tracer::complete(Category cat, std::uint32_t pid, std::uint32_t tid,
                  std::string_view name, Cycle ts, Cycle dur,
                  std::string_view args)
 {
     if (!wants(cat))
         return;
-    formatComplete(buf_, cat, pid, tid, name, ts, dur, args);
+    buf_ = "{\"ph\":\"X\"";
+    appendStringField(buf_, "name", name);
+    appendStringField(buf_, "cat", categoryName(cat));
+    appendField(buf_, "pid", pid);
+    appendField(buf_, "tid", tid);
+    appendField(buf_, "ts", ts);
+    appendField(buf_, "dur", dur);
+    appendArgs(buf_, args);
     commit();
 }
 
@@ -269,7 +222,13 @@ Tracer::instant(Category cat, std::uint32_t pid, std::uint32_t tid,
 {
     if (!wants(cat))
         return;
-    formatInstant(buf_, cat, pid, tid, name, ts, args);
+    buf_ = "{\"ph\":\"i\",\"s\":\"t\"";
+    appendStringField(buf_, "name", name);
+    appendStringField(buf_, "cat", categoryName(cat));
+    appendField(buf_, "pid", pid);
+    appendField(buf_, "tid", tid);
+    appendField(buf_, "ts", ts);
+    appendArgs(buf_, args);
     commit();
 }
 
@@ -279,63 +238,17 @@ Tracer::counter(Category cat, std::uint32_t pid, std::string_view name,
 {
     if (!wants(cat))
         return;
-    formatCounter(buf_, cat, pid, name, ts, value);
+    buf_ = "{\"ph\":\"C\"";
+    appendStringField(buf_, "name", name);
+    appendStringField(buf_, "cat", categoryName(cat));
+    appendField(buf_, "pid", pid);
+    appendField(buf_, "ts", ts);
+    char num[40];
+    std::snprintf(num, sizeof num, "%.17g", value);
+    buf_ += ",\"args\":{\"value\":";
+    buf_ += num;
+    buf_ += "}}";
     commit();
-}
-
-void
-TraceShard::complete(Tracer::Category cat, std::uint32_t pid,
-                     std::uint32_t tid, std::string_view name, Cycle ts,
-                     Cycle dur, std::string_view args)
-{
-    if (!wants(cat))
-        return;
-    if (!buffered_) {
-        parent_->complete(cat, pid, tid, name, ts, dur, args);
-        return;
-    }
-    lines_.emplace_back();
-    Tracer::formatComplete(lines_.back(), cat, pid, tid, name, ts, dur,
-                           args);
-}
-
-void
-TraceShard::instant(Tracer::Category cat, std::uint32_t pid,
-                    std::uint32_t tid, std::string_view name, Cycle ts,
-                    std::string_view args)
-{
-    if (!wants(cat))
-        return;
-    if (!buffered_) {
-        parent_->instant(cat, pid, tid, name, ts, args);
-        return;
-    }
-    lines_.emplace_back();
-    Tracer::formatInstant(lines_.back(), cat, pid, tid, name, ts, args);
-}
-
-void
-TraceShard::counter(Tracer::Category cat, std::uint32_t pid,
-                    std::string_view name, Cycle ts, double value)
-{
-    if (!wants(cat))
-        return;
-    if (!buffered_) {
-        parent_->counter(cat, pid, name, ts, value);
-        return;
-    }
-    lines_.emplace_back();
-    Tracer::formatCounter(lines_.back(), cat, pid, name, ts, value);
-}
-
-void
-TraceShard::flush()
-{
-    if (lines_.empty())
-        return;
-    for (const std::string &line : lines_)
-        parent_->commitLine(line);
-    lines_.clear();
 }
 
 } // namespace sim

@@ -26,7 +26,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -104,26 +103,6 @@ class Tracer
     void counter(Category cat, std::uint32_t pid, std::string_view name,
                  Cycle ts, double value);
 
-    // ---- shard support ---------------------------------------------
-    // TraceShard renders event lines off-thread with the formatX
-    // helpers and splices them into the stream with commitLine(); the
-    // bytes written are identical to the direct emitters above.
-
-    /** Append one pre-rendered event line to the stream. */
-    void commitLine(const std::string &line);
-
-    static void formatComplete(std::string &out, Category cat,
-                               std::uint32_t pid, std::uint32_t tid,
-                               std::string_view name, Cycle ts,
-                               Cycle dur, std::string_view args);
-    static void formatInstant(std::string &out, Category cat,
-                              std::uint32_t pid, std::uint32_t tid,
-                              std::string_view name, Cycle ts,
-                              std::string_view args);
-    static void formatCounter(std::string &out, Category cat,
-                              std::uint32_t pid, std::string_view name,
-                              Cycle ts, double value);
-
   private:
     void begin(std::ostream &os, std::uint32_t mask);
     void commit(); //!< write buf_ as the next traceEvents element
@@ -137,63 +116,8 @@ class Tracer
 };
 
 /**
- * Per-thread staging front end for a Tracer.
- *
- * The parallel engine's phase A runs on worker threads, where writing
- * to the shared Tracer stream would race. Each shard owns a TraceShard
- * instead: in buffered mode the emitters render the event line locally
- * (using the same formatters as Tracer, so the bytes are identical) and
- * flush() later splices the lines into the parent stream in shard-index
- * order on the committing thread. In pass-through mode (the sequential
- * engine) every emitter forwards immediately, so single-threaded traces
- * are byte-for-byte what the pre-shard tracer produced.
- *
- * The emitter signatures match Tracer's, so SIM_TRACE works with either
- * a Tracer* or a TraceShard*.
- */
-class TraceShard
-{
-  public:
-    TraceShard() = default;
-
-    /** Bind to `parent`; `buffered` selects staging vs pass-through. */
-    void bind(Tracer *parent, bool buffered)
-    {
-        parent_ = parent;
-        buffered_ = buffered;
-    }
-
-    Tracer *parent() const { return parent_; }
-
-    bool wants(std::uint32_t cats) const
-    {
-        return parent_ != nullptr && parent_->wants(cats);
-    }
-
-    void complete(Tracer::Category cat, std::uint32_t pid,
-                  std::uint32_t tid, std::string_view name, Cycle ts,
-                  Cycle dur, std::string_view args = {});
-    void instant(Tracer::Category cat, std::uint32_t pid,
-                 std::uint32_t tid, std::string_view name, Cycle ts,
-                 std::string_view args = {});
-    void counter(Tracer::Category cat, std::uint32_t pid,
-                 std::string_view name, Cycle ts, double value);
-
-    bool empty() const { return lines_.empty(); }
-
-    /** Replay buffered lines into the parent, in emission order. Only
-     *  call from the committing thread. */
-    void flush();
-
-  private:
-    Tracer *parent_ = nullptr;
-    bool buffered_ = false;
-    std::vector<std::string> lines_;
-};
-
-/**
- * Guarded trace emission: `tracer` is a sim::Tracer* or a
- * sim::TraceShard*, `category` a bare Category name (Wm, Fire, ...),
+ * Guarded trace emission: `tracer` is a sim::Tracer*, `category` a
+ * bare Category name (Wm, Fire, ...),
  * `method` one of the emitters (complete, instant, counter), and the
  * remaining arguments everything after the leading Category parameter.
  * The variadic arguments — including any sim::format(...) building the

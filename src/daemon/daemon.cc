@@ -339,6 +339,26 @@ Daemon::runJob(unsigned worker, std::uint64_t id, const JobSpec &spec)
     return r;
 }
 
+std::string
+Daemon::specError(const JobSpec &spec) const
+{
+    if (spec.tier == Tier::Ttda) {
+        const auto it = workloadCb_.find(spec.workload);
+        if (it == workloadCb_.end())
+            return "unknown workload \"" + spec.workload + "\"";
+        const std::size_t params =
+            program_.codeBlock(it->second).numParams;
+        if (spec.args.size() != params)
+            return sim::format("workload \"{}\" takes {} args, got {}",
+                               spec.workload, params, spec.args.size());
+    } else if (spec.vnLoads == 0) {
+        return "loads must be >= 1";
+    }
+    if (const char *bad = workloads::arrivalConfigError(spec.arrival))
+        return std::string("arrival ") + bad;
+    return {};
+}
+
 // ---- request handling ----------------------------------------------
 
 sim::json::Value
@@ -362,8 +382,6 @@ Daemon::opSubmit(const sim::json::Value &req)
     }
     if (req.has("workload"))
         spec.workload = req.get("workload").asStr();
-    if (spec.tier == Tier::Ttda && !workloadCb_.count(spec.workload))
-        return reject("unknown workload \"" + spec.workload + "\"");
     if (req.has("args")) {
         const auto &args = req.get("args");
         for (std::size_t i = 0; i < args.size(); ++i)
@@ -386,8 +404,6 @@ Daemon::opSubmit(const sim::json::Value &req)
                 arrivalKindFromName(a.get("kind").asStr());
         if (a.has("meanGap"))
             spec.arrival.meanGap = a.get("meanGap").asDouble();
-        if (spec.arrival.meanGap <= 0.0)
-            return reject("arrival meanGap must be > 0");
         if (a.has("start"))
             spec.arrival.start = a.get("start").asU64();
         if (a.has("burstLen"))
@@ -425,6 +441,8 @@ Daemon::opSubmit(const sim::json::Value &req)
             req.get("computePerLoad").asU64());
     if (req.has("stride"))
         spec.vnStride = req.get("stride").asU64();
+    if (const std::string err = specError(spec); !err.empty())
+        return reject(err);
 
     std::lock_guard<std::mutex> lk(mu_);
     if (draining_) {
@@ -1014,9 +1032,8 @@ Daemon::loadCheckpoint(const std::string &path)
         if (rec.id >= nextId)
             r.fail("job id past the id counter");
         rec.spec = loadSpec(r);
-        if (rec.spec.tier == Tier::Ttda &&
-            !workloadCb_.count(rec.spec.workload))
-            r.fail("checkpoint references an unknown workload");
+        if (const std::string err = specError(rec.spec); !err.empty())
+            r.fail(("checkpoint job: " + err).c_str());
         const std::uint8_t state = r.u8();
         if (state > static_cast<std::uint8_t>(JobState::Failed) ||
             state == static_cast<std::uint8_t>(JobState::Running))

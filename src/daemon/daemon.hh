@@ -195,6 +195,11 @@ class Daemon
     void workerLoop(unsigned worker);
     JobResult runJob(unsigned worker, std::uint64_t id,
                      const JobSpec &spec);
+    /** Why `spec` would trip an assertion when it runs (an unknown
+     *  workload, an argument count the workload does not take, a vn
+     *  job with no loads, an arrival parameter out of range), or
+     *  empty when it is runnable. Submit and restore both check it. */
+    std::string specError(const JobSpec &spec) const;
     void stopWorkers(); //!< Stop::Immediate unless already stopping
     void joinWorkers();
     void wakeLoop();

@@ -45,7 +45,6 @@ usage(const char *argv0)
         "  --workers N       worker threads, one warm replica each "
         "(default 2)\n"
         "  --pes N           ttda PEs per replica (default 8)\n"
-        "  --threads N       host threads per replica (default 1)\n"
         "  --seed N          machine seed (default 1)\n"
         "  --reliable-net    wrap the fabric in ReliableNet\n"
         "  --vn-cores N      von Neumann cores (default 4)\n"
@@ -80,7 +79,6 @@ main(int argc, char **argv)
 {
     srv::DaemonConfig cfg;
     cfg.machine.numPEs = 8;
-    cfg.machine.threads = 1;
     cfg.machine.latencyStats = true; // per-request latency histograms
     cfg.workers = 2;
     cfg.captureStatsJson = true; // the bit-identity witness
@@ -94,9 +92,6 @@ main(int argc, char **argv)
             cfg.workers = static_cast<unsigned>(numArg(argc, argv, i));
         else if (a == "--pes")
             cfg.machine.numPEs =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
-        else if (a == "--threads")
-            cfg.machine.threads =
                 static_cast<std::uint32_t>(numArg(argc, argv, i));
         else if (a == "--seed") {
             cfg.machine.seed = numArg(argc, argv, i);

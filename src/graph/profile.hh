@@ -63,7 +63,7 @@ struct InstrProfile
         return true;
     }
 
-    /** Fold another profile (e.g. one shard's) into this one. */
+    /** Fold another profile into this one (element-wise sums). */
     void merge(const InstrProfile &other);
 };
 

@@ -23,8 +23,8 @@
  *
  * Determinism: the protocol consumes no randomness. Retransmit order
  * is fixed by the timer heap's (deadline, insertion-order) key, and
- * all calls happen in the machines' serial phases, so runs remain
- * bit-identical across host thread counts.
+ * the machines call it in a fixed order within the tick, so runs
+ * replay bit-identically.
  */
 
 #ifndef TTDA_NET_RELIABLE_HH

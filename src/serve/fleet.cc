@@ -9,16 +9,6 @@ namespace serve
 namespace
 {
 
-sim::Fleet::Config
-engineConfig(const FleetConfig &cfg)
-{
-    sim::Fleet::Config ec;
-    ec.workers = cfg.workers;
-    ec.queueShards = cfg.queueShards;
-    ec.spinBudget = cfg.spinBudget;
-    return ec;
-}
-
 ttda::MachineConfig
 darkConfig(ttda::MachineConfig cfg)
 {
@@ -77,7 +67,7 @@ TtdaReplica::run(const FleetJob &job, std::uint64_t jobId)
 TtdaFleet::TtdaFleet(const graph::Program &program,
                      const ttda::MachineConfig &machine,
                      const FleetConfig &cfg)
-    : fleet_(engineConfig(cfg))
+    : fleet_(sim::Fleet::Config{cfg.workers})
 {
     replicas_.reserve(fleet_.workers());
     for (unsigned w = 0; w < fleet_.workers(); ++w)
@@ -123,7 +113,7 @@ runVnJob(vn::VnMachineConfig machine, const VnFleetJob &job)
 
 VnFleet::VnFleet(const vn::VnMachineConfig &machine,
                  const FleetConfig &cfg)
-    : fleet_(engineConfig(cfg)), machineCfg_(machine)
+    : fleet_(sim::Fleet::Config{cfg.workers}), machineCfg_(machine)
 {
 }
 

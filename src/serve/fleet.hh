@@ -54,10 +54,6 @@ struct FleetConfig
 {
     /** Workers, including the calling thread. */
     unsigned workers = 1;
-    /** Job-queue lanes; 0 = one per worker. */
-    std::size_t queueShards = 0;
-    /** WorkerPool spin budget (kSpinAuto adapts to the host). */
-    int spinBudget = sim::WorkerPool::kSpinAuto;
     /** Capture each job's dumpStatsJson() into the result (TtdaFleet
      *  only) — the bit-identity witness; costs a serialization per
      *  job. */

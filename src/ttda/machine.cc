@@ -32,24 +32,6 @@ sinceStamp(sim::Cycle now, std::uint32_t born)
     return static_cast<std::uint32_t>(now) - born;
 }
 
-/** Opcodes whose firing reads or mutates the shared ContextManager.
- *  Context ids are interned in arrival order, and that order leaks
- *  into tag hashes and thus PE mapping, so these fires must execute
- *  in the serial phase to stay bit-identical across thread counts. */
-bool
-touchesContext(graph::Opcode op)
-{
-    switch (op) {
-      case graph::Opcode::LoopEntry:
-      case graph::Opcode::LoopExit:
-      case graph::Opcode::Apply:
-      case graph::Opcode::Return:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Build the configured topology carrying payload P — the plain token
  *  for an unprotected machine, Envelope<Token> under ReliableNet. */
 template <typename P>
@@ -99,9 +81,13 @@ deriveFaultSeed(std::uint64_t root)
 } // namespace
 
 Machine::Machine(const graph::Program &program, MachineConfig config)
-    : program_(program), cfg_(config)
+    : program_(program), cfg_(config), exec_(program_, contexts_)
 {
     SIM_ASSERT_MSG(cfg_.numPEs >= 1, "machine needs at least one PE");
+    SIM_ASSERT_MSG(cfg_.threads <= 1,
+                   "MachineConfig::threads is retired: the machine runs "
+                   "on one host thread (got {})",
+                   cfg_.threads);
     program_.validate();
     if (cfg_.faults.enabled()) {
         sim::fault::FaultPlan plan = cfg_.faults;
@@ -137,6 +123,7 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
     observing_ = cfg_.latencyStats;
     if (cfg_.tracer && cfg_.tracer->active()) {
         observing_ = true;
+        trc_ = cfg_.tracer;
         nameTraceTracks();
         net_->setTracer(cfg_.tracer, cfg_.numPEs);
     }
@@ -149,53 +136,6 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
         observing_ = true;
         instrOffsets_ = program_.instrIndexOffsets();
         profile_.resize(program_.totalInstructions());
-    }
-
-    // Shard the PEs across host threads: contiguous, near-equal
-    // ranges, so one shard's phase A walks its PEs in machine order.
-    threads_ = cfg_.threads == 0 ? 1 : cfg_.threads;
-    threads_ = std::min<std::uint32_t>(threads_, cfg_.numPEs);
-    shards_.reserve(threads_);
-    for (std::uint32_t s = 0; s < threads_; ++s) {
-        shards_.emplace_back(program_, contexts_);
-        shards_.back().first = s * cfg_.numPEs / threads_;
-        shards_.back().last = (s + 1) * cfg_.numPEs / threads_;
-    }
-    shardIdx_.resize(cfg_.numPEs);
-    for (std::uint32_t s = 0; s < threads_; ++s)
-        for (std::uint32_t p = shards_[s].first; p < shards_[s].last;
-             ++p)
-            shardIdx_[p] = s;
-    if (cfg_.profile)
-        for (Shard &sh : shards_)
-            sh.prof.resize(program_.totalInstructions());
-    if (threads_ > 1) {
-        pool_ = std::make_unique<sim::WorkerPool>(threads_);
-        scanTask_ = [this](unsigned s) { scanShard(shards_[s]); };
-        // observing_ is final by now; bind the matching phase-A
-        // instantiation so workers never test the flag per token.
-        if (observing_)
-            cycleTask_ = [this](unsigned s) {
-                shardCycle<true>(shards_[s]);
-            };
-        else
-            cycleTask_ = [this](unsigned s) {
-                shardCycle<false>(shards_[s]);
-            };
-    }
-    const bool tracing = cfg_.tracer && cfg_.tracer->active();
-    for (Shard &sh : shards_) {
-        if (tracing) {
-            // Pass-through when sequential (byte-identical traces),
-            // buffered when workers emit off the committing thread.
-            sh.trc.bind(cfg_.tracer, threads_ > 1);
-            sh.trcp = &sh.trc;
-        }
-        if (cfg_.trace) {
-            sh.dbg = threads_ > 1
-                         ? static_cast<std::ostream *>(&sh.dbgBuf)
-                         : cfg_.trace;
-        }
     }
 }
 
@@ -259,11 +199,8 @@ Machine::sampleMetrics()
         m.set(mIds_.peAluBusy[p],
               static_cast<double>(st.aluBusyCycles.value()));
     }
-    m.set(mIds_.wmEntries, static_cast<double>(wmTotal()));
-    std::uint64_t items = 0;
-    for (const Shard &sh : shards_)
-        items += sh.activeItems;
-    m.set(mIds_.activeItems, static_cast<double>(items));
+    m.set(mIds_.wmEntries, static_cast<double>(wmEntries_));
+    m.set(mIds_.activeItems, static_cast<double>(activeItems_));
     const net::NetOccupancy occ = net_->occupancy();
     m.set(mIds_.netQueued, static_cast<double>(occ.queued));
     m.set(mIds_.netInFlight, static_cast<double>(occ.inFlight));
@@ -353,13 +290,13 @@ Machine::allocateGlobal(std::uint64_t n)
 }
 
 void
-Machine::route(Shard &sh, sim::NodeId src, graph::Token t)
+Machine::route(sim::NodeId src, graph::Token t)
 {
     const sim::NodeId dst = mapToken(t);
     t.pe = dst;
     if (cfg_.localBypass && dst == src) {
         pes_[src]->stats.bypassTokens.inc();
-        pushInQ(sh, *pes_[src], std::move(t));
+        pushInQ(*pes_[src], std::move(t));
     } else {
         net_->send(src, dst, std::move(t));
     }
@@ -382,7 +319,7 @@ Machine::input(std::uint16_t cb, std::uint16_t param, graph::Value v)
         t.seq = tokenSeq_++;
     const sim::NodeId dst = mapToken(t);
     t.pe = dst;
-    pushInQ(shardOf(dst), *pes_[dst], std::move(t));
+    pushInQ(*pes_[dst], std::move(t));
 }
 
 std::uint32_t
@@ -422,7 +359,7 @@ Machine::injectRequest(std::uint32_t rid)
             t.seq = tokenSeq_++;
         const sim::NodeId dst = mapToken(t);
         t.pe = dst;
-        pushInQ(shardOf(dst), *pes_[dst], std::move(t));
+        pushInQ(*pes_[dst], std::move(t));
     }
     r.args.clear();
 }
@@ -432,9 +369,8 @@ Machine::updateAdmissionGate()
 {
     if (cfg_.wmHighWatermark == 0)
         return; // admission control off: the gate never closes
-    const std::uint64_t wm = wmTotal();
     if (!admitBlocked_) {
-        if (wm >= cfg_.wmHighWatermark) {
+        if (wmEntries_ >= cfg_.wmHighWatermark) {
             admitBlocked_ = true;
             ++watermarkHits_;
         }
@@ -442,7 +378,7 @@ Machine::updateAdmissionGate()
         const std::uint64_t low =
             cfg_.wmLowWatermark != 0 ? cfg_.wmLowWatermark
                                      : cfg_.wmHighWatermark / 2;
-        if (wm <= low)
+        if (wmEntries_ <= low)
             admitBlocked_ = false;
     }
 }
@@ -478,7 +414,7 @@ Machine::serveAdvance()
         // with the same batch accounting and fabric-clock resync as
         // skipAhead (nothing can retire before `arrival` — the
         // machine is idle — so one step() covers the gap).
-        wmResidency_.sample(static_cast<double>(wmTotal()),
+        wmResidency_.sample(static_cast<double>(wmEntries_),
                             arrival - now_);
         net_->step(arrival - 1);
         now_ = arrival;
@@ -546,20 +482,20 @@ Machine::preload(const std::vector<graph::Value> &values)
 
 template <bool Obs>
 void
-Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
+Machine::stepInput(Pe &pe, sim::NodeId id)
 {
     // The waiting-matching section accepts one token per cycle; a
     // multi-cycle match holds the stage busy.
-    if (tickBusy(sh, pe.matchBusy, pe.stats.matchBusyCycles))
+    if (tickBusy(pe.matchBusy, pe.stats.matchBusyCycles))
         return;
     if (pe.inQ.empty())
         return;
     graph::Token tok = std::move(pe.inQ.front());
     pe.inQ.pop_front();
-    --sh.activeItems;
+    --activeItems_;
     pe.stats.tokensIn.inc();
-    if (sh.dbg) {
-        *sh.dbg << now_ << " pe" << tok.pe << " in    " << tok
+    if (cfg_.trace) {
+        *cfg_.trace << now_ << " pe" << tok.pe << " in    " << tok
                 << "\n";
     }
 
@@ -569,24 +505,24 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
         if (tok.nt == 1) {
             // Monadic tokens go straight to instruction fetch.
             if constexpr (Obs) {
-                SIM_TRACE(sh.trcp, Fire, complete, id, kTidFetch,
+                SIM_TRACE(trc_, Fire, complete, id, kTidFetch,
                           "fetch", now_, cfg_.fetchCycles,
                           sim::format("\"tag\":\"{}\",\"seq\":{}",
                                       tok.tag, tok.seq));
             }
-            std::vector<graph::Value> ops = takeSlots(sh, 1);
+            std::vector<graph::Value> ops = takeSlots(1);
             ops[0] = std::move(tok.data);
             pe.fetchQ.push_back(ReadyOp{
                 graph::EnabledInstruction{tok.tag, std::move(ops)},
                 now_ + cfg_.fetchCycles, tok.born});
-            ++sh.activeItems;
+            ++activeItems_;
             break;
         }
         pe.stats.matchBusyCycles.inc();
         sim::Cycle busy = cfg_.matchCycles - 1;
         auto [wp, inserted] = pe.waitStore.insert(tok.tag);
         if (inserted) {
-            ++sh.wmEntries;
+            ++wmEntries_;
             if (cfg_.matchCapacity != 0 &&
                 pe.waitStore.size() > cfg_.matchCapacity)
             {
@@ -596,14 +532,14 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
                 busy += cfg_.matchOverflowPenalty;
             }
         }
-        setBusy(sh, pe.matchBusy, busy);
+        setBusy(pe.matchBusy, busy);
         Waiting &w = *wp;
         if (w.expected == 0) {
             SIM_ASSERT_MSG(tok.nt <= 64,
                            "instruction with {} input ports exceeds "
                            "the matching bitmask", tok.nt);
             w.expected = tok.nt;
-            w.slots = takeSlots(sh, tok.nt);
+            w.slots = takeSlots(tok.nt);
             w.filled = 0;
         }
         SIM_ASSERT_MSG(tok.port < w.expected,
@@ -619,7 +555,7 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
                            "graph?)", tok.tag, tok.port);
             pe.stats.dupTokensDropped.inc();
             if constexpr (Obs) {
-                SIM_TRACE(sh.trcp, Wm, instant, id, kTidWm, "fdupdrop",
+                SIM_TRACE(trc_, Wm, instant, id, kTidWm, "fdupdrop",
                           now_,
                           sim::format("\"tag\":\"{}\",\"port\":{}",
                                       tok.tag,
@@ -634,11 +570,11 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
             pe.stats.waitStorePeak, pe.waitStore.size());
         if (w.arrived == w.expected) {
             if constexpr (Obs) {
-                SIM_TRACE(sh.trcp, Wm, complete, id, kTidWm, "match",
+                SIM_TRACE(trc_, Wm, complete, id, kTidWm, "match",
                           now_, busy + 1,
                           sim::format("\"tag\":\"{}\",\"seq\":{}",
                                       tok.tag, tok.seq));
-                SIM_TRACE(sh.trcp, Fire, complete, id, kTidFetch,
+                SIM_TRACE(trc_, Fire, complete, id, kTidFetch,
                           "fetch", now_, cfg_.fetchCycles,
                           sim::format("\"tag\":\"{}\"", tok.tag));
             }
@@ -647,15 +583,15 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
             // never touches the moved-from vector.
             std::vector<graph::Value> ops = std::move(w.slots);
             pe.waitStore.erase(tok.tag);
-            --sh.wmEntries;
+            --wmEntries_;
             pe.fetchQ.push_back(ReadyOp{
                 graph::EnabledInstruction{tok.tag, std::move(ops)},
                 now_ + cfg_.fetchCycles, tok.born});
-            ++sh.activeItems;
+            ++activeItems_;
         } else {
             if constexpr (Obs) {
                 SIM_TRACE(
-                    sh.trcp, Wm, instant, id, kTidWm, "enq", now_,
+                    trc_, Wm, instant, id, kTidWm, "enq", now_,
                     sim::format("\"tag\":\"{}\",\"port\":{},"
                                 "\"arrived\":{},\"expected\":{}",
                                 tok.tag,
@@ -672,64 +608,49 @@ Machine::stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
       case TokenKind::IsAlloc:
       case TokenKind::IsAppend:
         pe.isQ.push_back(std::move(tok));
-        ++sh.activeItems;
+        ++activeItems_;
         break;
 
       case TokenKind::Output:
-        if (sh.dbg) {
-            *sh.dbg << now_ << " OUTPUT " << tok.data << "\n";
+        if (cfg_.trace) {
+            *cfg_.trace << now_ << " OUTPUT " << tok.data << "\n";
         }
         if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Sched, instant, id, kTidWm, "result",
+            SIM_TRACE(trc_, Sched, instant, id, kTidWm, "result",
                       now_,
                       sim::format("\"value\":\"{}\",\"seq\":{}",
                                   tok.data, tok.seq));
         }
-        if (defer) {
-            // The host list is shared; append at commit, in PE order.
-            pe.stage.output =
-                OutputRecord{tok.tag, std::move(tok.data)};
-            pe.stage.hasOutput = true;
-        } else {
-            if (serving_)
-                noteRequestOutput(tok.tag);
-            outputs_.push_back(
-                OutputRecord{tok.tag, std::move(tok.data)});
-        }
+        if (serving_)
+            noteRequestOutput(tok.tag);
+        outputs_.push_back(OutputRecord{tok.tag, std::move(tok.data)});
         break;
     }
 }
 
 template <bool Obs>
 void
-Machine::emitNew(Shard &sh, Pe &pe, std::vector<graph::Token> *staged,
-                 graph::Token &&t)
+Machine::emitNew(Pe &pe, graph::Token &&t)
 {
-    if constexpr (Obs)
+    if constexpr (Obs) {
         t.born = stamp(now_);
-    if (staged) {
-        // Token::seq is a global creation sequence; the commit phase
-        // stamps staged tokens in PE-index order.
-        staged->push_back(std::move(t));
-        return;
-    }
-    if constexpr (Obs)
         t.seq = tokenSeq_++;
+    }
     pe.outQ.push_back(std::move(t));
-    ++sh.activeItems;
+    ++activeItems_;
 }
 
 template <bool Obs>
 void
-Machine::stepAlu(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
+Machine::stepAlu(Pe &pe, sim::NodeId id)
 {
-    if (tickBusy(sh, pe.aluBusy, pe.stats.aluBusyCycles))
+    if (tickBusy(pe.aluBusy, pe.stats.aluBusyCycles))
         return;
     if (pe.fetchQ.empty() || pe.fetchQ.front().readyAt > now_)
         return;
     ReadyOp op = std::move(pe.fetchQ.front());
     pe.fetchQ.pop_front();
-    --sh.activeItems;
+    --activeItems_;
 
     // Append the compile-time constant, if any, as the last operand.
     const graph::Instruction &in = program_.instruction(
@@ -737,21 +658,21 @@ Machine::stepAlu(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
     if (in.constant)
         op.enabled.operands.push_back(*in.constant);
 
-    if (sh.dbg) {
-        *sh.dbg << now_ << " fire  " << op.enabled.tag << " "
+    if (cfg_.trace) {
+        *cfg_.trace << now_ << " fire  " << op.enabled.tag << " "
                 << graph::opcodeName(in.op) << "\n";
     }
     const sim::Cycle lat = aluLatency_[static_cast<std::size_t>(in.op)];
     if constexpr (Obs) {
-        if (!sh.prof.empty()) {
+        if (!profile_.empty()) {
             const std::size_t g =
                 instrOffsets_[op.enabled.tag.codeBlock] +
                 op.enabled.tag.stmt;
-            ++sh.prof.fires[g];
-            sh.prof.cycles[g] += lat;
+            ++profile_.fires[g];
+            profile_.cycles[g] += lat;
         }
-        sh.birthToFire.sample(sinceStamp(now_, op.born));
-        SIM_TRACE(sh.trcp, Fire, complete, id, kTidAlu,
+        birthToFire_.sample(sinceStamp(now_, op.born));
+        SIM_TRACE(trc_, Fire, complete, id, kTidAlu,
                   graph::opcodeName(in.op), now_, lat,
                   sim::format("\"tag\":\"{}\",\"wait\":{}",
                               op.enabled.tag,
@@ -759,30 +680,20 @@ Machine::stepAlu(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
     }
     pe.stats.fired.inc();
     pe.stats.aluBusyCycles.inc();
-    setBusy(sh, pe.aluBusy, lat - 1);
+    setBusy(pe.aluBusy, lat - 1);
 
-    if (defer && touchesContext(in.op)) {
-        // Context interning/release is order-sensitive shared state;
-        // run this fire in the commit phase (timing is already done —
-        // only the token product moves).
-        pe.stage.pendingFire = std::move(op);
-        pe.stage.fireDeferred = true;
-        return;
-    }
-    sh.fireBuf.clear();
-    sh.exec.execute(op.enabled, sh.fireBuf);
-    recycleSlots(sh, std::move(op.enabled.operands));
-    for (auto &t : sh.fireBuf)
-        emitNew<Obs>(sh, pe, defer ? &pe.stage.emitFire : nullptr,
-                     std::move(t));
+    fireBuf_.clear();
+    exec_.execute(op.enabled, fireBuf_);
+    recycleSlots(std::move(op.enabled.operands));
+    for (auto &t : fireBuf_)
+        emitNew<Obs>(pe, std::move(t));
 }
 
 template <bool Obs>
 void
 Machine::serveDeferred(
-    Shard &sh, Pe &pe, sim::NodeId id, graph::TokenKind cause,
-    std::vector<std::pair<graph::IsCont, graph::Value>> &served,
-    std::vector<graph::Token> *staged)
+    Pe &pe, sim::NodeId id, graph::TokenKind cause,
+    std::vector<std::pair<graph::IsCont, graph::Value>> &served)
 {
     using graph::TokenKind;
     for (auto &[cont, value] : served) {
@@ -802,10 +713,10 @@ Machine::serveDeferred(
             // Read-issue-to-response latency; a response emitted by a
             // STORE (or a copy's write) is a read that sat deferred.
             if constexpr (Obs) {
-                sh.readLatency.sample(sinceStamp(now_, cont.born));
+                readLatency_.sample(sinceStamp(now_, cont.born));
                 if (cause != TokenKind::IsFetch) {
                     SIM_TRACE(
-                        sh.trcp, Istr, instant, id, kTidIstr, "serve",
+                        trc_, Istr, instant, id, kTidIstr, "serve",
                         now_,
                         sim::format("\"reader\":\"{}\",\"lat\":{}",
                                     cont.cont.tag,
@@ -813,14 +724,13 @@ Machine::serveDeferred(
                 }
             }
         }
-        emitNew<Obs>(sh, pe, staged, std::move(t));
+        emitNew<Obs>(pe, std::move(t));
     }
 }
 
 template <bool Obs>
 void
-Machine::applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
-                          graph::Token tok)
+Machine::applyAllocAppend(Pe &pe, sim::NodeId id, graph::Token tok)
 {
     std::vector<std::pair<graph::IsCont, graph::Value>> served;
     using graph::TokenKind;
@@ -828,7 +738,7 @@ Machine::applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
         const auto n = static_cast<std::uint64_t>(tok.data.asInt());
         const std::uint64_t base = allocateGlobal(n);
         if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Istr, complete, id, kTidIstr, "alloc",
+            SIM_TRACE(trc_, Istr, complete, id, kTidIstr, "alloc",
                       now_, cfg_.isReadCycles,
                       sim::format("\"base\":{},\"words\":{}", base,
                                   n));
@@ -840,7 +750,7 @@ Machine::applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
         reply.nt = tok.reply.nt;
         reply.data = graph::Value{
             graph::IPtr{base, static_cast<std::uint32_t>(n)}};
-        emitNew<Obs>(sh, pe, nullptr, std::move(reply));
+        emitNew<Obs>(pe, std::move(reply));
     } else {
         // Functional update: allocate and copy. The copy touches
         // cells on every PE; it is modelled as a block operation of
@@ -857,7 +767,7 @@ Machine::applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
                     : cfg_.isReadCycles;
         const std::uint64_t base = allocateGlobal(len);
         if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Istr, complete, id, kTidIstr, "append",
+            SIM_TRACE(trc_, Istr, complete, id, kTidIstr, "append",
                       now_, appendCost,
                       sim::format("\"src\":{},\"dst\":{},\"len\":{}",
                                   tok.addr, base, len));
@@ -887,22 +797,22 @@ Machine::applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
         reply.port = tok.reply.port;
         reply.nt = tok.reply.nt;
         reply.data = graph::Value{graph::IPtr{base, len}};
-        emitNew<Obs>(sh, pe, nullptr, std::move(reply));
+        emitNew<Obs>(pe, std::move(reply));
     }
-    serveDeferred<Obs>(sh, pe, id, tok.kind, served, nullptr);
+    serveDeferred<Obs>(pe, id, tok.kind, served);
 }
 
 template <bool Obs>
 void
-Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
+Machine::stepIs(Pe &pe, sim::NodeId id)
 {
-    if (tickBusy(sh, pe.isBusy, pe.stats.isBusyCycles))
+    if (tickBusy(pe.isBusy, pe.stats.isBusyCycles))
         return;
     if (pe.isQ.empty())
         return;
     graph::Token tok = std::move(pe.isQ.front());
     pe.isQ.pop_front();
-    --sh.activeItems;
+    --activeItems_;
     pe.stats.isBusyCycles.inc();
 
     std::vector<std::pair<graph::IsCont, graph::Value>> served;
@@ -912,9 +822,9 @@ Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
         SIM_ASSERT_MSG(tok.addr % cfg_.numPEs == id,
                        "i-structure fetch for word {} misrouted to PE "
                        "{}", tok.addr, id);
-        setBusy(sh, pe.isBusy, cfg_.isReadCycles - 1);
+        setBusy(pe.isBusy, cfg_.isReadCycles - 1);
         if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Istr, complete, id, kTidIstr, "read",
+            SIM_TRACE(trc_, Istr, complete, id, kTidIstr, "read",
                       now_, cfg_.isReadCycles,
                       sim::format("\"addr\":{}", tok.addr));
         }
@@ -929,7 +839,7 @@ Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
                               served))
         {
             if constexpr (Obs) {
-                SIM_TRACE(sh.trcp, Istr, instant, id, kTidIstr,
+                SIM_TRACE(trc_, Istr, instant, id, kTidIstr,
                           "defer", now_,
                           sim::format("\"addr\":{},\"reader\":\"{}\"",
                                       tok.addr, tok.reply.tag));
@@ -941,9 +851,9 @@ Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
         SIM_ASSERT_MSG(tok.addr % cfg_.numPEs == id,
                        "i-structure store for word {} misrouted to PE "
                        "{}", tok.addr, id);
-        setBusy(sh, pe.isBusy, cfg_.isWriteCycles - 1);
+        setBusy(pe.isBusy, cfg_.isWriteCycles - 1);
         if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Istr, complete, id, kTidIstr, "write",
+            SIM_TRACE(trc_, Istr, complete, id, kTidIstr, "write",
                       now_, cfg_.isWriteCycles,
                       sim::format("\"addr\":{}", tok.addr));
         }
@@ -958,7 +868,7 @@ Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
             {
                 pe.stats.dupStoresSuppressed.inc();
                 if constexpr (Obs) {
-                    SIM_TRACE(sh.trcp, Istr, instant, id, kTidIstr,
+                    SIM_TRACE(trc_, Istr, instant, id, kTidIstr,
                               "fdupstore", now_,
                               sim::format("\"addr\":{}", tok.addr));
                 }
@@ -971,132 +881,62 @@ Machine::stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
         break;
       }
       case TokenKind::IsAlloc: {
-        setBusy(sh, pe.isBusy, cfg_.isReadCycles - 1);
-        if (defer) {
-            // Global allocation is a shared bump pointer; apply the
-            // effects at commit (timing is already charged).
-            pe.stage.pendingIs = std::move(tok);
-            pe.stage.isDeferred = true;
-            return;
-        }
-        applyAllocAppend<Obs>(sh, pe, id, std::move(tok));
+        setBusy(pe.isBusy, cfg_.isReadCycles - 1);
+        applyAllocAppend<Obs>(pe, id, std::move(tok));
         return;
       }
       case TokenKind::IsAppend: {
-        SIM_ASSERT_MSG(!defer,
-                       "APPEND reached a phase-A I-structure step; "
-                       "the serial-IS fallback should have fired");
-        SIM_ASSERT(sh.pendingAppends > 0);
-        --sh.pendingAppends;
         const auto len = static_cast<std::uint32_t>(tok.aux >> 32);
         const sim::Cycle appendCost =
             len > 0 ? static_cast<sim::Cycle>(len) *
                           (cfg_.isReadCycles + cfg_.isWriteCycles)
                     : cfg_.isReadCycles;
-        setBusy(sh, pe.isBusy, appendCost - 1);
-        applyAllocAppend<Obs>(sh, pe, id, std::move(tok));
+        setBusy(pe.isBusy, appendCost - 1);
+        applyAllocAppend<Obs>(pe, id, std::move(tok));
         return;
       }
       default:
         sim::panic("non-structure token in i-structure queue");
     }
 
-    serveDeferred<Obs>(sh, pe, id, tok.kind, served,
-                       defer ? &pe.stage.emitIs : nullptr);
+    serveDeferred<Obs>(pe, id, tok.kind, served);
 }
 
 template <bool Obs>
 void
-Machine::stepOutput(Shard &sh, Pe &pe, sim::NodeId id, bool defer)
+Machine::stepOutput(Pe &pe, sim::NodeId id)
 {
-    if (!defer) {
-        for (std::uint32_t k = 0;
-             k < cfg_.outputBandwidth && !pe.outQ.empty(); ++k)
-        {
-            graph::Token t = std::move(pe.outQ.front());
-            pe.outQ.pop_front();
-            --sh.activeItems;
-            pe.stats.outputTokens.inc();
-            if constexpr (Obs) {
-                SIM_TRACE(sh.trcp, Sched, instant, id, kTidOutput,
-                          "out", now_,
-                          sim::format("\"seq\":{}", t.seq));
-            }
-            route(sh, id, std::move(t));
-        }
-        return;
-    }
-
-    // Phase A: decide the pop order (carried-over outQ tokens first,
-    // then this cycle's fires, then structure responses — exactly the
-    // order the sequential engine sees in outQ) and precompute each
-    // token's destination. Routing happens at commit so network
-    // injection order is PE-index order.
-    Staging &st = pe.stage;
-    for (std::uint32_t k = 0; k < cfg_.outputBandwidth; ++k) {
-        graph::Token t;
-        bool fresh;
-        if (!pe.outQ.empty()) {
-            t = std::move(pe.outQ.front());
-            pe.outQ.pop_front();
-            --sh.activeItems;
-            fresh = false;
-        } else if (st.fireUsed < st.emitFire.size()) {
-            t = std::move(st.emitFire[st.fireUsed++]);
-            fresh = true;
-        } else if (st.isUsed < st.emitIs.size()) {
-            t = std::move(st.emitIs[st.isUsed++]);
-            fresh = true;
-        } else {
-            break;
-        }
+    for (std::uint32_t k = 0;
+         k < cfg_.outputBandwidth && !pe.outQ.empty(); ++k)
+    {
+        graph::Token t = std::move(pe.outQ.front());
+        pe.outQ.pop_front();
+        --activeItems_;
         pe.stats.outputTokens.inc();
-        t.pe = mapToken(t);
-        st.outPlan.push_back(std::move(t));
-        st.outFresh.push_back(fresh ? 1 : 0);
+        if constexpr (Obs) {
+            SIM_TRACE(trc_, Sched, instant, id, kTidOutput, "out",
+                      now_, sim::format("\"seq\":{}", t.seq));
+        }
+        route(id, std::move(t));
     }
 }
 
 bool
 Machine::idle() const
 {
-    // Occupancy is maintained incrementally, per shard, at every queue
-    // push/pop and busy-countdown transition; going idle is a sum over
-    // a handful of shards instead of an O(numPEs) sweep.
-    std::uint64_t items = 0;
-    std::uint32_t busy = 0;
-    for (const Shard &sh : shards_) {
-        items += sh.activeItems;
-        busy += sh.busyStages;
-    }
-    return items == 0 && busy == 0 && net_->idle();
+    // Occupancy is maintained incrementally at every queue push/pop
+    // and busy-countdown transition, so going idle is O(1) instead of
+    // an O(numPEs) sweep.
+    return activeItems_ == 0 && busyStages_ == 0 && net_->idle();
 }
 
-std::uint64_t
-Machine::wmTotal() const
+sim::Cycle
+Machine::nextPeEvent() const
 {
-    std::uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.wmEntries;
-    return n;
-}
-
-std::uint64_t
-Machine::pendingAppendsTotal() const
-{
-    std::uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.pendingAppends;
-    return n;
-}
-
-void
-Machine::scanShard(Shard &sh)
-{
-    // Earliest cycle at which any owned pipeline stage can act. A
-    // stage draining a busy countdown next acts when the countdown
-    // expires; a non-empty queue behind an idle stage acts now; the
-    // fetch pipeline also waits for the head's readyAt.
+    // Earliest cycle at which any pipeline stage can act. A stage
+    // draining a busy countdown next acts when the countdown expires;
+    // a non-empty queue behind an idle stage acts now; the fetch
+    // pipeline also waits for the head's readyAt.
     //
     // Under a PE-stall window, candidates that would *start* work
     // (i.e. the stage has queued input) are pushed past the window's
@@ -1106,7 +946,7 @@ Machine::scanShard(Shard &sh)
     // per-cycle engine.
     const bool stallable = faults_ && faults_->hasPeStalls();
     sim::Cycle next = sim::neverCycle;
-    for (std::uint32_t p = sh.first; p < sh.last; ++p) {
+    for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
         const Pe &pe = *pes_[p];
         sim::Cycle start = sim::neverCycle; //!< needs the PE unstalled
         sim::Cycle drain = sim::neverCycle; //!< busy expiry only
@@ -1139,15 +979,13 @@ Machine::scanShard(Shard &sh)
         if (next <= now_)
             break; // something is due this very cycle
     }
-    sh.next = next;
+    return next;
 }
 
 void
 Machine::skipAhead()
 {
-    Shard &sh = shards_.front();
-    scanShard(sh);
-    sim::Cycle next = std::min(sh.next, net_->nextDelivery());
+    sim::Cycle next = std::min(nextPeEvent(), net_->nextDelivery());
     // Serving: never jump past the next admissible arrival (a shut
     // gate cannot reopen without machine progress, which the scan
     // already tracks, so blocked arrivals don't cap the jump).
@@ -1165,11 +1003,11 @@ Machine::skipAhead()
     const sim::Cycle delta = next - now_;
     for (const auto &pe_ptr : pes_) {
         Pe &pe = *pe_ptr;
-        batchBusy(sh, pe.matchBusy, pe.stats.matchBusyCycles, delta);
-        batchBusy(sh, pe.aluBusy, pe.stats.aluBusyCycles, delta);
-        batchBusy(sh, pe.isBusy, pe.stats.isBusyCycles, delta);
+        batchBusy(pe.matchBusy, pe.stats.matchBusyCycles, delta);
+        batchBusy(pe.aluBusy, pe.stats.aluBusyCycles, delta);
+        batchBusy(pe.isBusy, pe.stats.isBusyCycles, delta);
     }
-    wmResidency_.sample(static_cast<double>(wmTotal()), delta);
+    wmResidency_.sample(static_cast<double>(wmEntries_), delta);
     // Resynchronize the network's internal clock so tokens sent in the
     // first iteration after the jump get the correct issue stamp. By
     // the nextDelivery() contract nothing can retire before `next`, so
@@ -1181,223 +1019,22 @@ Machine::skipAhead()
                    cfg_.maxCycles);
 }
 
-void
-Machine::skipParallel()
-{
-    // The per-shard scans run in parallel; the min-reduction over
-    // shard results and the network query stay on the calling thread.
-    pool_->run(scanTask_);
-    sim::Cycle next = net_->nextDelivery();
-    for (const Shard &sh : shards_)
-        next = std::min(next, sh.next);
-    // Same arrival clamp as skipAhead, for bit-identical serving.
-    if (serving_ && !admitBlocked_ && nextAdmit_ < requests_.size())
-        next = std::min(next, requests_[nextAdmit_].arrival);
-    if (next <= now_)
-        return;
-    SIM_ASSERT_MSG(next != sim::neverCycle,
-                   "skip-ahead with no pending event (idle() bug)");
-
-    const sim::Cycle delta = next - now_;
-    for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
-        Shard &sh = shardOf(p);
-        Pe &pe = *pes_[p];
-        batchBusy(sh, pe.matchBusy, pe.stats.matchBusyCycles, delta);
-        batchBusy(sh, pe.aluBusy, pe.stats.aluBusyCycles, delta);
-        batchBusy(sh, pe.isBusy, pe.stats.isBusyCycles, delta);
-    }
-    wmResidency_.sample(static_cast<double>(wmTotal()), delta);
-    net_->step(next - 1);
-    now_ = next;
-    SIM_ASSERT_MSG(now_ < cfg_.maxCycles,
-                   "machine exceeded {} cycles; livelock?",
-                   cfg_.maxCycles);
-}
-
 template <bool Obs>
 void
-Machine::shardCycle(Shard &sh)
+Machine::runLoop()
 {
-    const bool serialIs = serialIsCycle_;
-    const bool peStalls = faults_ && faults_->hasPeStalls();
-    for (std::uint32_t p = sh.first; p < sh.last; ++p) {
-        Pe &pe = *pes_[p];
-        Staging &st = pe.stage;
-        st.emitFire.clear();
-        st.emitIs.clear();
-        st.fireUsed = 0;
-        st.isUsed = 0;
-        st.outPlan.clear();
-        st.outFresh.clear();
-        st.fireDeferred = false;
-        st.isDeferred = false;
-        st.hasOutput = false;
-
-        if (peStalls && faults_->peStalled(now_, p)) {
-            st.tailDeferred = false;
-            tickStalled(sh, pe);
-            continue;
-        }
-        stepInput<Obs>(sh, pe, p, true);
-        stepAlu<Obs>(sh, pe, p, true);
-        if (!serialIs)
-            stepIs<Obs>(sh, pe, p, true);
-        st.tailDeferred =
-            serialIs || st.fireDeferred || st.isDeferred;
-        if (!st.tailDeferred)
-            stepOutput<Obs>(sh, pe, p, true);
-    }
-}
-
-template <bool Obs>
-void
-Machine::commitFire(Shard &sh, Pe &pe)
-{
-    Staging &st = pe.stage;
-    if (st.fireDeferred) {
-        st.fireDeferred = false;
-        ReadyOp op = std::move(st.pendingFire);
-        sh.fireBuf.clear();
-        sh.exec.execute(op.enabled, sh.fireBuf);
-        recycleSlots(sh, std::move(op.enabled.operands));
-        for (auto &t : sh.fireBuf)
-            emitNew<Obs>(sh, pe, nullptr, std::move(t));
-        return;
-    }
-    commitEmit<Obs>(sh, pe, st.emitFire, 0);
-}
-
-template <bool Obs>
-void
-Machine::commitEmit(Shard &sh, Pe &pe, std::vector<graph::Token> &vec,
-                    std::size_t used)
-{
-    for (std::size_t i = used; i < vec.size(); ++i) {
-        graph::Token &t = vec[i];
-        if constexpr (Obs)
-            t.seq = tokenSeq_++;
-        pe.outQ.push_back(std::move(t));
-        ++sh.activeItems;
-    }
-    vec.clear();
-}
-
-template <bool Obs>
-void
-Machine::commitStagedOutput(Shard &sh, Pe &pe, sim::NodeId id)
-{
-    Staging &st = pe.stage;
-    if constexpr (Obs) {
-        // Global sequence stamps in creation order: the consumed
-        // prefix first (pop order equals creation order for fresh
-        // tokens: outQ drains before emitFire, emitFire before
-        // emitIs), then the leftovers.
-        for (std::size_t i = 0; i < st.outPlan.size(); ++i)
-            if (st.outFresh[i])
-                st.outPlan[i].seq = tokenSeq_++;
-        for (std::size_t i = st.fireUsed; i < st.emitFire.size(); ++i)
-            st.emitFire[i].seq = tokenSeq_++;
-        for (std::size_t i = st.isUsed; i < st.emitIs.size(); ++i)
-            st.emitIs[i].seq = tokenSeq_++;
-    }
-    for (auto &t : st.outPlan) {
-        if constexpr (Obs) {
-            SIM_TRACE(sh.trcp, Sched, instant, id, kTidOutput, "out",
-                      now_, sim::format("\"seq\":{}", t.seq));
-        }
-        const sim::NodeId dst = t.pe;
-        if (cfg_.localBypass && dst == id) {
-            pe.stats.bypassTokens.inc();
-            pushInQ(sh, pe, std::move(t));
-        } else {
-            net_->send(id, dst, std::move(t));
-        }
-    }
-    st.outPlan.clear();
-    st.outFresh.clear();
-    // Tokens the bandwidth-limited output section did not take stay
-    // queued for later cycles.
-    for (std::size_t i = st.fireUsed; i < st.emitFire.size(); ++i) {
-        pe.outQ.push_back(std::move(st.emitFire[i]));
-        ++sh.activeItems;
-    }
-    st.emitFire.clear();
-    for (std::size_t i = st.isUsed; i < st.emitIs.size(); ++i) {
-        pe.outQ.push_back(std::move(st.emitIs[i]));
-        ++sh.activeItems;
-    }
-    st.emitIs.clear();
-}
-
-template <bool Obs>
-void
-Machine::commitCycle()
-{
-    const bool peStalls = faults_ && faults_->hasPeStalls();
-    for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
-        Shard &sh = shardOf(p);
-        Pe &pe = *pes_[p];
-        Staging &st = pe.stage;
-        if (peStalls && faults_->peStalled(now_, p))
-            continue; // phase A already ticked the stalled PE
-        if (st.hasOutput) {
-            st.hasOutput = false;
-            if (serving_)
-                noteRequestOutput(st.output.tag);
-            outputs_.push_back(std::move(st.output));
-        }
-        if (serialIsCycle_) {
-            // An APPEND may touch every controller: replay the whole
-            // I-structure step (and the tail) serially this cycle.
-            commitFire<Obs>(sh, pe);
-            stepIs<Obs>(sh, pe, p, false);
-            stepOutput<Obs>(sh, pe, p, false);
-        } else if (st.tailDeferred) {
-            commitFire<Obs>(sh, pe);
-            if (st.isDeferred) {
-                st.isDeferred = false;
-                applyAllocAppend<Obs>(sh, pe, p,
-                                      std::move(st.pendingIs));
-            } else {
-                commitEmit<Obs>(sh, pe, st.emitIs, 0);
-            }
-            stepOutput<Obs>(sh, pe, p, false);
-        } else {
-            commitStagedOutput<Obs>(sh, pe, p);
-        }
-    }
-}
-
-void
-Machine::flushShardLogs()
-{
-    for (Shard &sh : shards_) {
-        if (sh.trcp)
-            sh.trc.flush();
-        if (cfg_.trace && sh.dbg == &sh.dbgBuf) {
-            *cfg_.trace << sh.dbgBuf.str();
-            sh.dbgBuf.str(std::string());
-        }
-    }
-}
-
-template <bool Obs>
-void
-Machine::runSequential()
-{
-    Shard &sh = shards_.front();
     const bool peStalls = faults_ && faults_->hasPeStalls();
     for (;;) {
-        // Pause point: checked at the serial top of the tick, before
-        // any admission or stage work, so a paused machine holds no
+        // Pause point: checked at the top of the tick, before any
+        // admission or stage work, so a paused machine holds no
         // mid-tick state. A skip/arrival jump may land past stopAt_;
         // the landing cycle is a pure function of (program, config,
-        // stopAt), so the pause is deterministic at any thread count.
+        // stopAt), so the pause is deterministic.
         if (now_ >= stopAt_) {
             paused_ = true;
             break;
         }
-        // Serving: admit due requests at the serial point of the tick.
+        // Serving: admit due requests at the top of the tick.
         if (serving_)
             serveAdmit();
         if (idle()) {
@@ -1425,81 +1062,21 @@ Machine::runSequential()
         for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
             Pe &pe = *pes_[p];
             if (peStalls && faults_->peStalled(now_, p)) {
-                tickStalled(sh, pe);
+                tickStalled(pe);
                 continue;
             }
-            stepInput<Obs>(sh, pe, p, false);
-            stepAlu<Obs>(sh, pe, p, false);
-            stepIs<Obs>(sh, pe, p, false);
-            stepOutput<Obs>(sh, pe, p, false);
+            stepInput<Obs>(pe, p);
+            stepAlu<Obs>(pe, p);
+            stepIs<Obs>(pe, p);
+            stepOutput<Obs>(pe, p);
         }
         net_->step(now_);
         ++now_;
         for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
             if (auto tok = net_->receive(p))
-                pushInQ(sh, *pes_[p], std::move(*tok));
+                pushInQ(*pes_[p], std::move(*tok));
         }
-        wmResidency_.sample(static_cast<double>(wmTotal()));
-        if constexpr (Obs) {
-            if (metrics_ && metrics_->due(now_))
-                sampleMetrics();
-        }
-        SIM_ASSERT_MSG(now_ < cfg_.maxCycles,
-                       "machine exceeded {} cycles; livelock?",
-                       cfg_.maxCycles);
-    }
-}
-
-template <bool Obs>
-void
-Machine::runParallel()
-{
-    for (;;) {
-        // Same pause point as the sequential engine (serial top of
-        // the tick, phase B fully committed), so pausing never
-        // perturbs the two-phase determinism argument.
-        if (now_ >= stopAt_) {
-            paused_ = true;
-            break;
-        }
-        // Identical serving structure to the sequential engine: both
-        // admission and the idle-time arrival jump run on the calling
-        // thread, at the same logical points, for any thread count.
-        if (serving_)
-            serveAdmit();
-        if (idle()) {
-            if (!serving_ || !serveAdvance())
-                break;
-            if (idle())
-                continue;
-        }
-        skipParallel();
-        if (serving_)
-            serveAdmit();
-        if (idle()) {
-            if (!serving_ || !serveAdvance())
-                break;
-            if (idle())
-                continue;
-        }
-        // The serial-IS fallback: while any APPEND is in flight in an
-        // input or structure queue, this cycle's I-structure steps
-        // (whose copy loops touch other PEs' stores) run in phase B.
-        serialIsCycle_ = pendingAppendsTotal() > 0;
-        pool_->run(cycleTask_);  // phase A
-        flushShardLogs();        // phase-A events, in shard order
-        commitCycle<Obs>();      // phase B, in PE-index order
-        flushShardLogs();        // commit-phase events
-        net_->step(now_);
-        ++now_;
-        for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
-            if (auto tok = net_->receive(p))
-                pushInQ(shardOf(p), *pes_[p], std::move(*tok));
-        }
-        wmResidency_.sample(static_cast<double>(wmTotal()));
-        // Identical serial sample point to the sequential engine
-        // (after phase-B commit and network receive), so the rows are
-        // bit-identical for any thread count.
+        wmResidency_.sample(static_cast<double>(wmEntries_));
         if constexpr (Obs) {
             if (metrics_ && metrics_->due(now_))
                 sampleMetrics();
@@ -1517,29 +1094,8 @@ Machine::runUntil(sim::Cycle stopAt)
     paused_ = false;
     // Select the observability instantiation once: the Obs=false
     // bodies contain no stamping, sampling, or trace code at all.
-    if (threads_ > 1)
-        observing_ ? runParallel<true>() : runParallel<false>();
-    else
-        observing_ ? runSequential<true>() : runSequential<false>();
+    observing_ ? runLoop<true>() : runLoop<false>();
     stopAt_ = sim::neverCycle;
-
-    // Merge the shard-local latency histograms into the machine-level
-    // ones, in shard order, then reset the shard copies so a resumed
-    // run merges each sample exactly once. Exact: the samples are
-    // integer-valued, so per-shard partial sums (and re-merging after
-    // every pause) match sequential accumulation bit for bit.
-    for (Shard &sh : shards_) {
-        birthToFire_.merge(sh.birthToFire);
-        readLatency_.merge(sh.readLatency);
-        sh.birthToFire.reset();
-        sh.readLatency.reset();
-    }
-    if (cfg_.profile)
-        for (Shard &sh : shards_) {
-            profile_.merge(sh.prof);
-            if (!sh.prof.empty())
-                sh.prof.resize(program_.totalInstructions());
-        }
     if (paused_)
         return true;
     if (metrics_)
@@ -1564,8 +1120,8 @@ void
 Machine::reset()
 {
     // Run state only. Everything resolved at construction — wiring,
-    // shard layout, the ALU latency table, metrics series, the worker
-    // pool — survives, as do all the warmed allocations (hash-table
+    // the ALU latency table, metrics series — survives, as do all the
+    // warmed allocations (hash-table
     // capacity, ring buffers, structure chunks, the operand-slot
     // pool): that reuse is the point of resetting over reconstructing.
     for (auto &pe_ptr : pes_) {
@@ -1580,32 +1136,12 @@ Machine::reset()
         pe.isBusy = 0;
         pe.isStore.reset();
         pe.stats = PeStats{};
-        Staging &st = pe.stage;
-        st.emitFire.clear();
-        st.emitIs.clear();
-        st.fireUsed = 0;
-        st.isUsed = 0;
-        st.outPlan.clear();
-        st.outFresh.clear();
-        st.fireDeferred = false;
-        st.isDeferred = false;
-        st.tailDeferred = false;
-        st.hasOutput = false;
     }
-    for (Shard &sh : shards_) {
-        sh.exec.resetFired();
-        sh.activeItems = 0;
-        sh.busyStages = 0;
-        sh.wmEntries = 0;
-        sh.pendingAppends = 0;
-        sh.next = 0;
-        sh.birthToFire.reset();
-        sh.readLatency.reset();
-        if (!sh.prof.empty())
-            sh.prof.resize(program_.totalInstructions());
-        sh.fireBuf.clear();
-        sh.dbgBuf.str(std::string());
-    }
+    exec_.resetFired();
+    activeItems_ = 0;
+    busyStages_ = 0;
+    wmEntries_ = 0;
+    fireBuf_.clear();
     contexts_.reset();
     if (faults_)
         faults_->reset();
@@ -1620,7 +1156,6 @@ Machine::reset()
     tokenSeq_ = 0;
     if (!profile_.empty())
         profile_.resize(program_.totalInstructions());
-    serialIsCycle_ = false;
     requests_.clear();
     nextAdmit_ = 0;
     reqCompleted_ = 0;

@@ -23,16 +23,10 @@
  * Global I-structure addresses interleave across PEs: word g lives on
  * PE (g mod numPEs) at local offset (g div numPEs).
  *
- * Parallel engine (MachineConfig::threads > 1): the PEs are sharded
- * across host threads and each simulated cycle runs as a two-phase
- * tick — phase A computes every PE's stage steps into per-PE staging
- * buffers in parallel, phase B commits the staged effects in PE-index
- * order on the calling thread. Anything whose sequential outcome
- * depends on cross-PE ordering (context interning, global structure
- * allocation, token sequence stamping, network injection) happens in
- * phase B, so the results are bit-identical to the sequential engine
- * for any thread count (see docs/ARCHITECTURE.md, "Deterministic
- * parallel engine").
+ * The machine runs on the calling thread: each simulated cycle steps
+ * every PE in index order, then the network. Host parallelism lives
+ * at job grain instead (serve::TtdaFleet, the daemon's workers); see
+ * docs/ARCHITECTURE.md, "One host thread per machine", for why.
  */
 
 #ifndef TTDA_TTDA_MACHINE_HH
@@ -41,18 +35,16 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <map>
 #include <memory>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/flatmap.hh"
 #include "common/metrics.hh"
-#include "common/parallel.hh"
 #include "common/ringqueue.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -154,12 +146,10 @@ struct MachineConfig
     bool reliableNet = false;
     net::RetryConfig retry; //!< retransmission policy when reliableNet
 
-    /** Host threads for the parallel engine: the PEs are split into
-     *  `threads` contiguous shards stepped concurrently under the
-     *  two-phase tick. Results (cycle counts, statistics, outputs,
-     *  traces modulo event file order) are bit-identical to the
-     *  sequential engine. Clamped to numPEs; 0 or 1 selects the plain
-     *  sequential engine. */
+    /** Retired: the machine always runs on the calling thread, and
+     *  the constructor rejects any value but 0 or 1. The field stays
+     *  only because the perfbench harness (perfbench/src/sim_dense.cc
+     *  and fleet_lossy.cc) still assigns it 1. */
     std::uint32_t threads = 1;
 
     /** When set, one line per machine event (token classified,
@@ -182,9 +172,8 @@ struct MachineConfig
     bool latencyStats = false;
 
     /** When set, the machine samples a time-series row into this
-     *  recorder every recorder-interval cycles, at the serial point
-     *  of the tick (after network receive), so the series is
-     *  bit-identical for any `threads`. The machine registers its
+     *  recorder every recorder-interval cycles, at the end of the
+     *  tick (after network receive). The machine registers its
      *  series in the ctor; null = no sampling (and no cost). */
     sim::MetricsRecorder *metrics = nullptr;
 
@@ -237,12 +226,11 @@ class Machine
      * `stopAt`, whichever comes first. @return true when the run
      * paused at `stopAt` (resume with another runUntil/run call),
      * false when it reached quiescence. The pause point is checked at
-     * the serial top of the tick — a paused machine has no staged
-     * (mid-tick) state, so it can be snapshotted — and the landing
-     * cycle depends only on (program, config, stopAt), never on the
-     * thread count. Latency histograms and profiles are complete at
-     * every pause; deadlock detection and metrics finalization run
-     * only when the run completes.
+     * the top of the tick — a paused machine holds no mid-tick state,
+     * so it can be snapshotted — and the landing cycle depends only
+     * on (program, config, stopAt). Latency histograms and profiles
+     * are complete at every pause; deadlock detection and metrics
+     * finalization run only when the run completes.
      */
     bool runUntil(sim::Cycle stopAt);
 
@@ -271,8 +259,7 @@ class Machine
      *  into the running machine at its arrival cycle (subject to the
      *  admission watermark), run to quiescence, and record each
      *  request's arrival-to-completion latency into requestLatency().
-     *  Injection happens at the serial point of the tick, so serving
-     *  runs are bit-identical for any `threads`. */
+     *  Injection happens at the top of the tick. */
     std::vector<OutputRecord> serve();
 
     /** serve() with a pause point: run the serving loop until
@@ -292,7 +279,7 @@ class Machine
      * versioned snapshot envelope (common/snapshot.hh). Call only
      * while the machine is quiescent or paused (runUntil/serveUntil);
      * never mid-run. Restore-then-run is bit-identical to the
-     * uninterrupted run, for any thread count on either side.
+     * uninterrupted run.
      */
     void saveSnapshot(std::ostream &os) const;
 
@@ -302,7 +289,7 @@ class Machine
      * and an equivalent MachineConfig (numPEs, seed, topology,
      * mapping, reliableNet, structure-store size and fault plan are
      * fingerprinted and verified; stage latencies and the rest are
-     * trusted). The thread count may differ. Throws
+     * trusted). Throws
      * sim::snapshot::Error on a truncated, corrupt, or mismatched
      * snapshot, leaving the machine reset.
      */
@@ -311,8 +298,8 @@ class Machine
     /** Return the machine to its freshly-constructed state while
      *  keeping every warmed allocation: the waiting-matching stores
      *  keep their table capacity, structure storage its materialized
-     *  chunks, network queues and heaps their buffers, and the worker
-     *  pool its threads. A reset-then-run is bit-identical to a fresh
+     *  chunks, network queues and heaps their buffers, and the
+     *  operand-slot pool its vectors. A reset-then-run is bit-identical to a fresh
      *  machine's run (cycle count, outputs, statistics). The external
      *  MetricsRecorder, if any, is not rewound — reuse across resets
      *  needs a fresh recorder per run. */
@@ -379,8 +366,7 @@ class Machine
     /** Cycles from a token's creation to the fire of the activity it
      *  enabled (token-lifecycle latency; one sample per fire).
      *  Populated only when MachineConfig::latencyStats is set or a
-     *  tracer is active. Complete after run() returns (per-shard
-     *  samples are merged there). */
+     *  tracer is active. */
     const sim::Histogram &birthToFireLatency() const
     {
         return birthToFire_;
@@ -391,7 +377,7 @@ class Machine
     const sim::Histogram &readLatency() const { return readLatency_; }
 
     /** Per-source-instruction fire/cycle attribution (populated when
-     *  MachineConfig::profile; complete after run() merges shards). */
+     *  MachineConfig::profile). */
     const graph::InstrProfile &profile() const { return profile_; }
 
     /** Ranked hot-instruction report (MachineConfig::profile). */
@@ -449,43 +435,6 @@ class Machine
         bool done = false; //!< first OUTPUT seen; latency recorded
     };
 
-    /**
-     * Per-PE staging for the two-phase tick. Phase A never mutates
-     * state another shard can read, so everything a stage would have
-     * pushed beyond its own PE — or whose value depends on a shared
-     * counter — lands here, and phase B replays it in PE-index order:
-     *
-     *  - emitFire/emitIs: tokens created this cycle (ALU fires, then
-     *    structure replies/serves), in creation order, without their
-     *    Token::seq stamp (the global sequence is assigned at commit).
-     *  - pendingFire: a context-touching fire (LoopEntry/LoopExit/
-     *    Apply/Return) whose execution must wait for the serial phase
-     *    because context interning is order-sensitive.
-     *  - pendingIs: an ALLOC/APPEND whose global-allocation side
-     *    effects run at commit.
-     *  - outPlan/outFresh: the output section's pop order with dst
-     *    precomputed into Token::pe; routing (bypass push or network
-     *    send) happens at commit so injection order is PE order.
-     *  - output: an OUTPUT token absorbed by the PE controller this
-     *    cycle (appended to the host list at commit).
-     */
-    struct Staging
-    {
-        std::vector<graph::Token> emitFire;
-        std::vector<graph::Token> emitIs;
-        std::size_t fireUsed = 0; //!< emitFire prefix moved to outPlan
-        std::size_t isUsed = 0;   //!< emitIs prefix moved to outPlan
-        std::vector<graph::Token> outPlan;
-        std::vector<std::uint8_t> outFresh;
-        ReadyOp pendingFire;
-        graph::Token pendingIs;
-        OutputRecord output;
-        bool fireDeferred = false;
-        bool isDeferred = false;
-        bool tailDeferred = false; //!< output section left to phase B
-        bool hasOutput = false;
-    };
-
     struct Pe
     {
         explicit Pe(std::size_t is_words) : isStore(is_words) {}
@@ -505,73 +454,20 @@ class Machine
         sim::Cycle isBusy = 0;
         mem::IStructure<graph::IsCont, graph::Value> isStore;
         PeStats stats;
-        Staging stage;
-    };
-
-    /**
-     * One host thread's slice of the machine: a contiguous PE range
-     * plus every accumulator a phase-A step may touch, so workers
-     * never contend. Shard-local statistics (histograms) are merged
-     * into the machine-level ones, in shard order, when run() returns;
-     * occupancy counters are summed on demand (idle() etc.).
-     */
-    struct Shard
-    {
-        Shard(const graph::Program &program,
-              graph::ContextManager &contexts)
-            : exec(program, contexts)
-        {
-        }
-
-        std::uint32_t first = 0; //!< owned PE range [first, last)
-        std::uint32_t last = 0;
-
-        /** Thread-local firing engine. Phase A only executes opcodes
-         *  that never touch the shared ContextManager; fires that do
-         *  are deferred to phase B (still run through this shard's
-         *  executor, serially). */
-        graph::Executor exec;
-
-        // Incrementally maintained occupancy for the owned PEs.
-        std::uint64_t activeItems = 0; //!< items in owned pipeline queues
-        std::uint32_t busyStages = 0;  //!< owned stages with a countdown
-        std::uint64_t wmEntries = 0;   //!< waiting-matching entries
-        std::uint64_t pendingAppends = 0; //!< APPEND tokens in owned inQ/isQ
-
-        sim::Cycle next = 0; //!< skip-ahead scan result for this shard
-
-        sim::Histogram birthToFire{4.0, 128};
-        sim::Histogram readLatency{4.0, 128};
-
-        /** Per-shard profiler attribution (MachineConfig::profile);
-         *  merged into the machine-level profile after run(). */
-        graph::InstrProfile prof;
-
-        /** Reused output buffer for Executor::execute (fire path). */
-        std::vector<graph::Token> fireBuf;
-        /** Free list recycling Waiting::slots / operand storage. */
-        std::vector<std::vector<graph::Value>> slotPool;
-
-        sim::TraceShard trc;
-        sim::TraceShard *trcp = nullptr; //!< null when not tracing
-        std::ostringstream dbgBuf; //!< parallel debug-trace staging
-        std::ostream *dbg = nullptr; //!< debug-trace sink, may be null
     };
 
     sim::NodeId mapTag(const graph::Tag &tag) const;
     sim::NodeId mapToken(const graph::Token &t) const;
     std::uint64_t allocateGlobal(std::uint64_t n);
-    void route(Shard &sh, sim::NodeId src, graph::Token t);
+    void route(sim::NodeId src, graph::Token t);
 
     /** All tokens enter a PE's input queue through here: keeps the
-     *  owning shard's item count and APPEND-in-flight count right. */
+     *  pipeline item count right. */
     void
-    pushInQ(Shard &sh, Pe &pe, graph::Token &&t)
+    pushInQ(Pe &pe, graph::Token &&t)
     {
-        if (t.kind == graph::TokenKind::IsAppend)
-            ++sh.pendingAppends;
         pe.inQ.push_back(std::move(t));
-        ++sh.activeItems;
+        ++activeItems_;
     }
 
     // Chrome-trace track layout: process = PE (or numPEs for the
@@ -595,9 +491,7 @@ class Machine
      *  now_. Called at the serial sample point of the run loops. */
     void sampleMetrics();
 
-    // Stage steps. With defer=false they apply every effect directly
-    // (the sequential engine and phase B); with defer=true (phase A)
-    // order-sensitive effects land in the PE's Staging instead.
+    // Stage steps, one call per PE per cycle in PE-index order.
     //
     // The whole step/emit path is templated on Obs — whether the
     // machine is observing token lifecycles (latencyStats or an
@@ -606,40 +500,35 @@ class Machine
     // without observability pay literally nothing for it; run()
     // selects the instantiation once.
     template <bool Obs>
-    void stepInput(Shard &sh, Pe &pe, sim::NodeId id, bool defer);
+    void stepInput(Pe &pe, sim::NodeId id);
     template <bool Obs>
-    void stepAlu(Shard &sh, Pe &pe, sim::NodeId id, bool defer);
+    void stepAlu(Pe &pe, sim::NodeId id);
     template <bool Obs>
-    void stepIs(Shard &sh, Pe &pe, sim::NodeId id, bool defer);
+    void stepIs(Pe &pe, sim::NodeId id);
     template <bool Obs>
-    void stepOutput(Shard &sh, Pe &pe, sim::NodeId id, bool defer);
+    void stepOutput(Pe &pe, sim::NodeId id);
 
-    /** Queue a freshly created token for the output section: staged
-     *  (seq assigned later) or stamped and pushed straight to outQ. */
+    /** Stamp a freshly created token and queue it for the output
+     *  section. */
     template <bool Obs>
-    void emitNew(Shard &sh, Pe &pe, std::vector<graph::Token> *staged,
-                 graph::Token &&t);
+    void emitNew(Pe &pe, graph::Token &&t);
 
     /** Turn an I-structure controller's served continuations into
-     *  response/store tokens (shared by every stepIs flavour). */
+     *  response/store tokens. */
     template <bool Obs>
     void serveDeferred(
-        Shard &sh, Pe &pe, sim::NodeId id, graph::TokenKind cause,
-        std::vector<std::pair<graph::IsCont, graph::Value>> &served,
-        std::vector<graph::Token> *staged);
+        Pe &pe, sim::NodeId id, graph::TokenKind cause,
+        std::vector<std::pair<graph::IsCont, graph::Value>> &served);
 
-    /** ALLOC/APPEND effects: global allocation, copy traffic, reply.
-     *  Runs in stepIs (sequential) or phase B (parallel). */
+    /** ALLOC/APPEND effects: global allocation, copy traffic, reply. */
     template <bool Obs>
-    void applyAllocAppend(Shard &sh, Pe &pe, sim::NodeId id,
-                          graph::Token tok);
+    void applyAllocAppend(Pe &pe, sim::NodeId id, graph::Token tok);
 
     bool idle() const;
 
     // ---- steady-state serving --------------------------------------
-    // All four run at serial points of the tick (top of the run-loop
-    // iteration or inside the serial output commit), so serving is
-    // bit-identical across thread counts.
+    // All four run at the top of the run-loop iteration or, for
+    // noteRequestOutput, where the PE controller absorbs an OUTPUT.
 
     /** Inject request `rid` as a fresh top-level context: one token
      *  per parameter, tagged <root, cb, param, rid + 1>. */
@@ -651,7 +540,7 @@ class Machine
      *  waiting-matching entries (the gate cannot reopen on its own). */
     void serveAdmit();
 
-    /** Hysteresis on wmTotal(): block at >= high, reopen at <= low. */
+    /** Hysteresis on wmEntries_: block at >= high, reopen at <= low. */
     void updateAdmissionGate();
 
     /** Jump a quiescent machine to the next arrival and admit there.
@@ -672,30 +561,29 @@ class Machine
      *  can act, batch-accounting busy counters and wm residency. */
     void skipAhead();
 
-    /** Per-shard part of the skip decision: earliest cycle at which
-     *  any owned PE can act, written to Shard::next. */
-    void scanShard(Shard &sh);
+    /** Earliest cycle at which any PE's pipeline stage can act. */
+    sim::Cycle nextPeEvent() const;
 
     /** Load a stage's busy countdown (cycles *beyond* the current
-     *  one), maintaining the shard's busy-stage count. */
+     *  one), maintaining the busy-stage count. */
     void
-    setBusy(Shard &sh, sim::Cycle &slot, sim::Cycle extra)
+    setBusy(sim::Cycle &slot, sim::Cycle extra)
     {
         if (extra > 0 && slot == 0)
-            ++sh.busyStages;
+            ++busyStages_;
         slot = extra;
     }
 
     /** One-cycle busy decrement at the top of a stage step. @return
      *  true when the stage spent this cycle draining its countdown. */
     bool
-    tickBusy(Shard &sh, sim::Cycle &slot, sim::Counter &counter)
+    tickBusy(sim::Cycle &slot, sim::Counter &counter)
     {
         if (slot == 0)
             return false;
         counter.inc();
         if (--slot == 0)
-            --sh.busyStages;
+            --busyStages_;
         return true;
     }
 
@@ -703,17 +591,16 @@ class Machine
      *  in-flight operations (busy countdowns) keep draining — a stall
      *  freezes issue, not completion. */
     void
-    tickStalled(Shard &sh, Pe &pe)
+    tickStalled(Pe &pe)
     {
-        tickBusy(sh, pe.matchBusy, pe.stats.matchBusyCycles);
-        tickBusy(sh, pe.aluBusy, pe.stats.aluBusyCycles);
-        tickBusy(sh, pe.isBusy, pe.stats.isBusyCycles);
+        tickBusy(pe.matchBusy, pe.stats.matchBusyCycles);
+        tickBusy(pe.aluBusy, pe.stats.aluBusyCycles);
+        tickBusy(pe.isBusy, pe.stats.isBusyCycles);
     }
 
     /** Batch-account `delta` skipped cycles against one busy slot. */
     void
-    batchBusy(Shard &sh, sim::Cycle &slot, sim::Counter &counter,
-              sim::Cycle delta)
+    batchBusy(sim::Cycle &slot, sim::Counter &counter, sim::Cycle delta)
     {
         if (slot == 0)
             return;
@@ -721,19 +608,19 @@ class Machine
         counter.inc(n);
         slot -= n;
         if (slot == 0)
-            --sh.busyStages;
+            --busyStages_;
     }
 
     // ---- zero-allocation fire path ---------------------------------
 
     /** Operand vector of n default values, reusing pooled storage. */
     std::vector<graph::Value>
-    takeSlots(Shard &sh, std::size_t n)
+    takeSlots(std::size_t n)
     {
-        if (sh.slotPool.empty())
+        if (slotPool_.empty())
             return std::vector<graph::Value>(n);
-        std::vector<graph::Value> v = std::move(sh.slotPool.back());
-        sh.slotPool.pop_back();
+        std::vector<graph::Value> v = std::move(slotPool_.back());
+        slotPool_.pop_back();
         v.clear();
         v.resize(n);
         return v;
@@ -741,59 +628,20 @@ class Machine
 
     /** Return an operand vector's storage to the pool. */
     void
-    recycleSlots(Shard &sh, std::vector<graph::Value> &&v)
+    recycleSlots(std::vector<graph::Value> &&v)
     {
-        if (sh.slotPool.size() < 1024)
-            sh.slotPool.push_back(std::move(v));
+        if (slotPool_.size() < 1024)
+            slotPool_.push_back(std::move(v));
     }
 
-    // ---- parallel engine -------------------------------------------
-
-    Shard &shardOf(std::uint32_t p) { return shards_[shardIdx_[p]]; }
-
-    std::uint64_t wmTotal() const;
-    std::uint64_t pendingAppendsTotal() const;
-
+    /** The tick loop behind runUntil(). */
     template <bool Obs>
-    void runSequential();
-    template <bool Obs>
-    void runParallel();
-
-    /** Phase A for one shard: stage steps for the owned PEs, staging
-     *  order-sensitive effects. */
-    template <bool Obs>
-    void shardCycle(Shard &sh);
-
-    /** Phase B: replay every PE's staged effects in PE-index order. */
-    template <bool Obs>
-    void commitCycle();
-
-    /** Execute/flush the cycle's ALU product for one PE: run a
-     *  deferred context-touching fire, or stamp the staged fire
-     *  tokens, pushing all of them to outQ. */
-    template <bool Obs>
-    void commitFire(Shard &sh, Pe &pe);
-
-    /** Stamp a staged token list (from `used` on) into outQ. */
-    template <bool Obs>
-    void commitEmit(Shard &sh, Pe &pe, std::vector<graph::Token> &vec,
-                    std::size_t used);
-
-    /** Stamp and route the staged output-section plan of one PE. */
-    template <bool Obs>
-    void commitStagedOutput(Shard &sh, Pe &pe, sim::NodeId id);
-
-    /** skip-ahead for the parallel engine: parallel per-shard scans,
-     *  serial min-reduction and batch accounting. */
-    void skipParallel();
-
-    /** Splice per-shard trace and debug-log buffers into their sinks,
-     *  in shard order. */
-    void flushShardLogs();
+    void runLoop();
 
     const graph::Program &program_;
     MachineConfig cfg_;
     graph::ContextManager contexts_;
+    graph::Executor exec_; //!< the firing engine (uses contexts_)
     std::unique_ptr<sim::fault::FaultInjector> faults_;
     std::unique_ptr<net::Network<graph::Token>> net_;
     net::ReliableNet<graph::Token> *rel_ = nullptr; //!< net_ when wrapped
@@ -808,6 +656,18 @@ class Machine
     std::uint32_t tokenSeq_ = 0; //!< next Token::seq to hand out
     bool observing_ = false; //!< latencyStats, tracing, metrics, or
                              //!< profiling requested
+    sim::Tracer *trc_ = nullptr; //!< cfg_.tracer when active, else null
+
+    // Incrementally maintained occupancy: going idle, skip-ahead and
+    // the admission gate read these instead of sweeping every PE.
+    std::uint64_t activeItems_ = 0; //!< items in pipeline queues
+    std::uint32_t busyStages_ = 0;  //!< stages with a busy countdown
+    std::uint64_t wmEntries_ = 0;   //!< waiting-matching entries
+
+    /** Reused output buffer for Executor::execute (fire path). */
+    std::vector<graph::Token> fireBuf_;
+    /** Free list recycling Waiting::slots / operand storage. */
+    std::vector<std::vector<graph::Value>> slotPool_;
 
     // ---- pause points (runUntil / serveUntil) ----------------------
     sim::Cycle stopAt_ = sim::neverCycle; //!< current runUntil bound
@@ -850,18 +710,6 @@ class Machine
     /** ALU service time per opcode (cfg.aluCycles with cfg.opLatency
      *  overrides), resolved once so the fire path is a table load. */
     std::array<sim::Cycle, graph::numOpcodes> aluLatency_{};
-
-    std::uint32_t threads_ = 1; //!< resolved shard count
-    std::vector<Shard> shards_;
-    std::vector<std::uint32_t> shardIdx_; //!< owning shard per PE
-    std::unique_ptr<sim::WorkerPool> pool_;
-    std::function<void(unsigned)> scanTask_;
-    std::function<void(unsigned)> cycleTask_;
-
-    /** An APPEND is in flight somewhere: its copy loop touches other
-     *  PEs' structure stores, so this cycle's I-structure steps run
-     *  entirely in phase B (the "serial-IS cycle" fallback). */
-    bool serialIsCycle_ = false;
 };
 
 } // namespace ttda

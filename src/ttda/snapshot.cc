@@ -9,13 +9,10 @@
  * queues, waiting-matching stores, structure storage, contexts, the
  * network (ReliableNet protocol state included), fault-injector RNG,
  * statistics, histograms and the serving queue. Everything resolved
- * at construction (wiring, shard layout, latency tables, routing
- * tables) is configuration and is re-derived by the restoring
- * machine, which is why a snapshot taken at --threads 4 restores
- * bit-identically at --threads 1: the shard-local accumulators are
- * recomputed for the restoring machine's own layout, and every
- * serialized quantity is thread-count-invariant by the determinism
- * argument in docs/ARCHITECTURE.md.
+ * at construction (wiring, latency tables, routing tables) is
+ * configuration and is re-derived by the restoring machine; the
+ * occupancy counters the run loop maintains incrementally are derived
+ * state and are recomputed from the restored queues.
  */
 
 #include "ttda/machine.hh"
@@ -141,7 +138,6 @@ Machine::saveSnapshot(std::ostream &os) const
     w.u64(allocPtr_);
     w.b(deadlocked_);
     w.u32(tokenSeq_);
-    w.b(serialIsCycle_);
 
     // ---- outputs ---------------------------------------------------
     w.u64(outputs_.size());
@@ -284,7 +280,6 @@ Machine::restoreSnapshot(std::istream &is)
         allocPtr_ = r.u64();
         deadlocked_ = r.b();
         tokenSeq_ = r.u32();
-        serialIsCycle_ = r.b();
 
         // ---- outputs -----------------------------------------------
         const std::uint64_t nOut = r.u64();
@@ -415,35 +410,19 @@ Machine::restoreSnapshot(std::istream &is)
         throw;
     }
 
-    // Recompute the shard-local occupancy accumulators for *this*
-    // machine's thread layout — they are derived state, maintained
-    // incrementally during a run, and the snapshot may have been
-    // written under a different shard count.
-    for (Shard &sh : shards_) {
-        sh.activeItems = 0;
-        sh.busyStages = 0;
-        sh.wmEntries = 0;
-        sh.pendingAppends = 0;
-        sh.next = 0;
-        for (std::uint32_t p = sh.first; p < sh.last; ++p) {
-            const Pe &pe = *pes_[p];
-            sh.activeItems += pe.inQ.size() + pe.fetchQ.size() +
-                              pe.outQ.size() + pe.isQ.size();
-            sh.busyStages +=
-                static_cast<std::uint32_t>(pe.matchBusy > 0) +
-                static_cast<std::uint32_t>(pe.aluBusy > 0) +
-                static_cast<std::uint32_t>(pe.isBusy > 0);
-            sh.wmEntries += pe.waitStore.size();
-            auto countAppends =
-                [&sh](const sim::RingQueue<graph::Token> &q) {
-                    for (std::size_t i = 0; i < q.size(); ++i)
-                        if (q.at(i).kind ==
-                            graph::TokenKind::IsAppend)
-                            ++sh.pendingAppends;
-                };
-            countAppends(pe.inQ);
-            countAppends(pe.isQ);
-        }
+    // Recompute the occupancy counters: derived state, maintained
+    // incrementally during a run and never serialized.
+    activeItems_ = 0;
+    busyStages_ = 0;
+    wmEntries_ = 0;
+    for (const auto &pe_ptr : pes_) {
+        const Pe &pe = *pe_ptr;
+        activeItems_ += pe.inQ.size() + pe.fetchQ.size() +
+                        pe.outQ.size() + pe.isQ.size();
+        busyStages_ += static_cast<std::uint32_t>(pe.matchBusy > 0) +
+                       static_cast<std::uint32_t>(pe.aluBusy > 0) +
+                       static_cast<std::uint32_t>(pe.isBusy > 0);
+        wmEntries_ += pe.waitStore.size();
     }
 }
 

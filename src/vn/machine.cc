@@ -141,15 +141,6 @@ VnMachine::VnMachine(VnMachineConfig cfg) : cfg_(cfg)
     metrics_ = cfg_.metrics;
     if (metrics_)
         initMetrics();
-
-    threads_ = cfg_.threads == 0 ? 1 : cfg_.threads;
-    threads_ = std::min<std::uint32_t>(threads_, cfg_.numCores);
-    if (cfg_.tracer && cfg_.tracer->active())
-        threads_ = 1; // cores write the shared trace stream mid-step
-    if (threads_ > 1) {
-        pool_ = std::make_unique<sim::WorkerPool>(threads_);
-        outbox_.resize(cfg_.numCores);
-    }
 }
 
 VnMachine::VnMachine(VnMachine &&) noexcept = default;
@@ -298,32 +289,9 @@ VnMachine::deliverResponse(const MemAccess &acc)
 void
 VnMachine::step()
 {
-    if (pool_) {
-        // Phase A: cores are mutually independent within a cycle, so
-        // they step concurrently, each writing only its own state and
-        // outbox slot. Phase B below issues the staged accesses in
-        // core-index order — the order the sequential loop produces —
-        // so memory and network see an identical request stream.
-        // (The task lambda is built per step rather than cached: the
-        // machine is movable and a stored closure would capture a
-        // stale `this`.)
-        pool_->run([this](unsigned shard) {
-            const std::uint32_t first =
-                shard * cfg_.numCores / threads_;
-            const std::uint32_t last =
-                (shard + 1) * cfg_.numCores / threads_;
-            for (std::uint32_t c = first; c < last; ++c)
-                outbox_[c] = cores_[c]->step(now_);
-        });
-        for (std::uint32_t c = 0; c < cfg_.numCores; ++c) {
-            if (outbox_[c])
-                issue(c, *outbox_[c]);
-        }
-    } else {
-        for (std::uint32_t c = 0; c < cfg_.numCores; ++c) {
-            if (auto acc = cores_[c]->step(now_))
-                issue(c, *acc);
-        }
+    for (std::uint32_t c = 0; c < cfg_.numCores; ++c) {
+        if (auto acc = cores_[c]->step(now_))
+            issue(c, *acc);
     }
 
     net_->step(now_);

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -31,7 +30,6 @@
 
 #include "common/fault.hh"
 #include "common/metrics.hh"
-#include "common/parallel.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -86,15 +84,6 @@ struct VnMachineConfig
     bool reliableNet = false;
     net::RetryConfig retry; //!< reliableNet retransmission policy
 
-    /** Host threads stepping the cores: each cycle, the independent
-     *  per-core compute runs sharded across threads into per-core
-     *  outboxes, and the shared phases (memory issue, network, module
-     *  stepping) replay the outboxes in core-index order — results
-     *  are bit-identical to sequential for any value. Clamped to
-     *  numCores; forced to 1 while a tracer is active (cores emit
-     *  trace events mid-step). */
-    std::uint32_t threads = 1;
-
     /** When set, core/memory/network lifecycle events are emitted as
      *  Chrome trace-event JSON: one process per core (tid 0 = cpu,
      *  tid 1 = the colocated memory module) plus one for the network.
@@ -103,8 +92,7 @@ struct VnMachineConfig
 
     /** When set, run() samples a time-series row (per-core busy and
      *  instruction counters, network occupancy) into this recorder at
-     *  its interval, at the serial point after step(); bit-identical
-     *  for any `threads`. Null = no sampling. */
+     *  its interval, after step(). Null = no sampling. */
     sim::MetricsRecorder *metrics = nullptr;
 };
 
@@ -231,12 +219,6 @@ class VnMachine
         sim::MetricsRecorder::SeriesId relPending = 0;
     };
     MetricsIds mIds_;
-
-    std::uint32_t threads_ = 1; //!< resolved shard count
-    std::unique_ptr<sim::WorkerPool> pool_;
-    /** Per-core staging for the parallel step: the access (if any)
-     *  each core issued this cycle, consumed in core-index order. */
-    std::vector<std::optional<MemAccess>> outbox_;
 };
 
 } // namespace vn

@@ -21,17 +21,28 @@ expGap(double mean, double u)
 
 } // namespace
 
+const char *
+arrivalConfigError(const ArrivalConfig &cfg)
+{
+    // Written as negated in-range tests so a NaN fails every bound.
+    if (!(cfg.meanGap > 0.0))
+        return "meanGap must be > 0";
+    if (cfg.burstLen < 1)
+        return "burstLen must be >= 1";
+    if (!(cfg.burstScale > 0.0 && cfg.burstScale <= 1.0))
+        return "burstScale must be in (0, 1]";
+    if (!(cfg.diurnalDepth >= 0.0 && cfg.diurnalDepth < 1.0))
+        return "diurnalDepth must be in [0, 1)";
+    if (!(cfg.diurnalPeriod > 0.0))
+        return "diurnalPeriod must be > 0";
+    return nullptr;
+}
+
 std::vector<sim::Cycle>
 arrivalSchedule(const ArrivalConfig &cfg, std::size_t n)
 {
-    SIM_ASSERT_MSG(cfg.meanGap > 0.0, "meanGap must be positive");
-    SIM_ASSERT_MSG(cfg.burstLen >= 1, "burstLen must be >= 1");
-    SIM_ASSERT_MSG(cfg.burstScale > 0.0 && cfg.burstScale <= 1.0,
-                   "burstScale must be in (0, 1]");
-    SIM_ASSERT_MSG(cfg.diurnalDepth >= 0.0 && cfg.diurnalDepth < 1.0,
-                   "diurnalDepth must be in [0, 1)");
-    SIM_ASSERT_MSG(cfg.diurnalPeriod > 0.0,
-                   "diurnalPeriod must be positive");
+    const char *bad = arrivalConfigError(cfg);
+    SIM_ASSERT_MSG(bad == nullptr, "arrival config: {}", bad);
 
     // One stream, one draw per request, whatever the shape: schedules
     // with equal seeds consume identical randomness, so changing the

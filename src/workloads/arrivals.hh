@@ -6,9 +6,8 @@
  * independent requests reach the machine. The generators are pure
  * functions of (config, n): one SplitMix64-seeded stream drives every
  * shape, exactly one draw is consumed per request, and nothing depends
- * on the machine or the host thread count — so a schedule is
- * bit-reproducible across runs, thread counts, and the two machine
- * tiers, and two shapes with the same seed see the same underlying
+ * on the machine or the host — so a schedule is bit-reproducible
+ * across runs, fleet worker counts, and the two machine tiers, and two shapes with the same seed see the same underlying
  * randomness (paired comparisons isolate the shape, not the stream).
  *
  * Shapes:
@@ -58,10 +57,17 @@ struct ArrivalConfig
     double diurnalDepth = 0.75;     //!< rate swing, in [0, 1)
 };
 
+/** The first parameter bound `cfg` violates, as a message such as
+ *  "burstLen must be >= 1", or null when every parameter is in range.
+ *  The one list of the bounds: arrivalSchedule() asserts on it, and
+ *  callers taking untrusted specs reject with it. */
+const char *arrivalConfigError(const ArrivalConfig &cfg);
+
 /**
  * Generate the first `n` arrival cycles of the configured process.
  * Sorted, non-decreasing (simultaneous arrivals are legal and the
- * serving path admits them in submission order).
+ * serving path admits them in submission order). `cfg` must pass
+ * arrivalConfigError().
  */
 std::vector<sim::Cycle> arrivalSchedule(const ArrivalConfig &cfg,
                                         std::size_t n);

@@ -20,8 +20,7 @@
  *
  * Determinism: each context's pulls depend only on its own
  * pre-partitioned list and the machine's cycle counter, which is fixed
- * during the core-step phase — so serving runs are bit-identical for
- * any host thread count.
+ * during the core-step phase — so serving runs replay bit-identically.
  */
 
 #ifndef TTDA_WORKLOADS_VN_SERVE_HH

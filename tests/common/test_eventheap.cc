@@ -34,8 +34,8 @@ TEST(EventHeap, PopsInKeyOrder)
 
 TEST(EventHeap, EqualKeysPopInInsertionOrder)
 {
-    // The deterministic parallel engine depends on this: events
-    // scheduled for the same cycle must drain in the order they were
+    // The machines' determinism depends on this: events scheduled
+    // for the same cycle must drain in the order they were
     // scheduled, exactly as a std::multimap iterates them.
     sim::EventHeap<int> h;
     for (int i = 0; i < 100; ++i)

@@ -95,7 +95,6 @@ testConfig()
 {
     srv::DaemonConfig cfg;
     cfg.machine.numPEs = 4;
-    cfg.machine.threads = 1;
     cfg.machine.latencyStats = true;
     // Jobs inject drops; ReliableNet is what lets epochs complete.
     cfg.machine.reliableNet = true;
@@ -387,6 +386,43 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
     auto unknown = fibSubmit(7, 2, 1);
     unknown.set("workload", Value::str("nonesuch"));
     EXPECT_FALSE(c.request(unknown).get("ok").asBool());
+
+    // Specs that would trip an assertion in a worker are refused at
+    // admission, and the daemon keeps serving afterwards.
+    std::vector<Value> malformed;
+    {
+        auto twoArgs = fibSubmit(7, 2, 1); // fib takes one argument
+        auto args = Value::arr();
+        args.push(Value::intNum(7));
+        args.push(Value::intNum(8));
+        twoArgs.set("args", std::move(args));
+        malformed.push_back(std::move(twoArgs));
+    }
+    {
+        auto noLoads = Value::obj();
+        noLoads.set("op", Value::str("submit"));
+        noLoads.set("tier", Value::str("vn"));
+        noLoads.set("requests", Value::intNum(2));
+        noLoads.set("loads", Value::intNum(0));
+        malformed.push_back(std::move(noLoads));
+    }
+    const auto withArrival = [](const char *kind, const char *key,
+                                Value v) {
+        auto req = fibSubmit(7, 2, 1);
+        auto arrival = Value::obj();
+        arrival.set("kind", Value::str(kind));
+        arrival.set(key, std::move(v));
+        req.set("arrival", std::move(arrival));
+        return req;
+    };
+    malformed.push_back(withArrival("bursty", "burstLen", Value::intNum(0)));
+    malformed.push_back(withArrival("bursty", "burstScale", Value::num(2.0)));
+    malformed.push_back(
+        withArrival("diurnal", "diurnalDepth", Value::num(1.0)));
+    for (const Value &spec : malformed) {
+        const Value resp = c.request(spec);
+        EXPECT_FALSE(resp.get("ok").asBool()) << spec.dump();
+    }
 
     auto badOp = Value::obj();
     badOp.set("op", Value::str("frobnicate"));

@@ -36,6 +36,15 @@ struct PrecedenceCase
     std::int64_t expect;
 };
 
+/** gtest's printer for a case, which also names the ctest entry:
+ *  without it the struct is dumped as raw bytes, and the `expr`
+ *  pointer in them changes with every process's load address. */
+void
+PrintTo(const PrecedenceCase &tc, std::ostream *os)
+{
+    *os << tc.expr << " with x = " << tc.x;
+}
+
 class Precedence : public ::testing::TestWithParam<PrecedenceCase>
 {
 };

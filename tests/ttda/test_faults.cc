@@ -2,9 +2,8 @@
  * @file
  * Fault injection on the full TTDA machine: bare machines strand under
  * loss (and the forensics say so), reliable machines complete with the
- * right answer, and both are bit-identical across host thread counts —
- * the injector's determinism contract extends through the parallel
- * engine.
+ * right answer, and both replay bit-identically — the injector's
+ * determinism contract.
  */
 
 #include <gtest/gtest.h>
@@ -50,25 +49,19 @@ runOnce(const graph::Program &program, const ttda::MachineConfig &cfg,
     return r;
 }
 
-/** Same run at threads 1, 2, and 4 must be bit-identical (cycles,
+/** The same run on two fresh machines must be bit-identical (cycles,
  *  deadlock flag, outputs, and the full stats document). */
 RunResult
 expectDeterministic(const graph::Program &program,
-                    ttda::MachineConfig cfg, std::uint16_t cb,
+                    const ttda::MachineConfig &cfg, std::uint16_t cb,
                     const std::vector<Value> &inputs)
 {
-    cfg.threads = 1;
     const RunResult base = runOnce(program, cfg, cb, inputs);
-    for (const std::uint32_t threads : {2u, 4u}) {
-        cfg.threads = threads;
-        const RunResult r = runOnce(program, cfg, cb, inputs);
-        EXPECT_EQ(r.cycles, base.cycles) << "threads=" << threads;
-        EXPECT_EQ(r.deadlocked, base.deadlocked)
-            << "threads=" << threads;
-        EXPECT_EQ(r.outputs, base.outputs) << "threads=" << threads;
-        EXPECT_EQ(r.statsJson, base.statsJson)
-            << "threads=" << threads;
-    }
+    const RunResult r = runOnce(program, cfg, cb, inputs);
+    EXPECT_EQ(r.cycles, base.cycles);
+    EXPECT_EQ(r.deadlocked, base.deadlocked);
+    EXPECT_EQ(r.outputs, base.outputs);
+    EXPECT_EQ(r.statsJson, base.statsJson);
     return base;
 }
 
@@ -123,8 +116,7 @@ TEST(TtdaFaults, BareMachineStrandsAndIsClassifiedAsLoss)
 TEST(TtdaFaults, BareLossyRunIsDeterministicAcrossThreads)
 {
     // Even a stranded run must replay bit-identically: the fate
-    // sequence is drawn in deliver order, which the two-phase tick
-    // fixes independently of host threading.
+    // sequence is drawn in deliver order, which the tick fixes.
     graph::Program program;
     const auto cb = workloads::buildTrapezoid(program);
     const RunResult r = expectDeterministic(
@@ -136,8 +128,8 @@ TEST(TtdaFaults, BareLossyRunIsDeterministicAcrossThreads)
 TEST(TtdaFaults, ReliableNetCompletesUnderLossBitIdentically)
 {
     // The same lossy plan, wrapped in ReliableNet: every point must
-    // finish with the correct answer, identically at every thread
-    // count. (The fault-free trapezoid result is 48 * (0 + 2) / 2 —
+    // finish with the correct answer, identically on every replay.
+    // (The fault-free trapezoid result is 48 * (0 + 2) / 2 —
     // compare against a clean run instead of hard-coding.)
     graph::Program program;
     const auto cb = workloads::buildTrapezoid(program);
@@ -171,8 +163,8 @@ TEST(TtdaFaults, ReliableNetCompletesUnderLossBitIdentically)
 TEST(TtdaFaults, PeStallWindowsDelayButComplete)
 {
     // Scheduled PE freezes lose no packets, so the bare machine still
-    // completes — later, and identically at every thread count (the
-    // stall windows cut across the event-driven skip-ahead logic).
+    // completes — later, and identically on every replay (the stall
+    // windows cut across the event-driven skip-ahead logic).
     graph::Program program;
     const auto cb = workloads::buildTrapezoid(program);
     const std::vector<Value> inputs = {Value{0.0}, Value{2.0},

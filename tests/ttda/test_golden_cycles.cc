@@ -1,7 +1,7 @@
 /**
  * @file
- * Golden cycle-count regression tests for the event-driven scheduler
- * and the deterministic parallel engine.
+ * Golden cycle-count regression tests for the event-driven
+ * scheduler.
  *
  * Each case locks the exact cycle count, activity count, per-PE stage
  * statistics, network statistics, and waiting-matching residency
@@ -10,11 +10,6 @@
  * the event-driven rewrite; the rewrite must reproduce them bit for
  * bit (the skip-ahead invariant: observable statistics identical to
  * per-cycle ticking).
- *
- * Every case now runs at threads = 1, 2, and 4 and must produce the
- * SAME signature at every thread count — the parallel engine's
- * determinism contract (docs/ARCHITECTURE.md, "Deterministic parallel
- * engine") locked against the same golden strings.
  *
  * If a deliberate timing-model change ever invalidates these numbers,
  * re-record them and say so loudly in the commit message — they are
@@ -68,25 +63,18 @@ signature(ttda::Machine &m, const std::vector<ttda::OutputRecord> &out)
     return os.str();
 }
 
-/** Run the configured program at threads 1/2/4; every run must match
- *  the golden signature exactly. */
+/** Run the configured program; the run must match the golden
+ *  signature exactly. */
 void
-checkAllThreadCounts(
-    const graph::Program &program, const ttda::MachineConfig &cfg,
-    const std::function<void(ttda::Machine &)> &inject,
-    const std::string &expected, bool expect_deadlock = false)
+checkGolden(const graph::Program &program, const ttda::MachineConfig &cfg,
+            const std::function<void(ttda::Machine &)> &inject,
+            const std::string &expected, bool expect_deadlock = false)
 {
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        ttda::MachineConfig c = cfg;
-        c.threads = threads;
-        ttda::Machine m(program, c);
-        inject(m);
-        auto out = m.run();
-        EXPECT_EQ(m.deadlocked(), expect_deadlock)
-            << "threads=" << threads;
-        EXPECT_EQ(signature(m, out), expected)
-            << "threads=" << threads;
-    }
+    ttda::Machine m(program, cfg);
+    inject(m);
+    auto out = m.run();
+    EXPECT_EQ(m.deadlocked(), expect_deadlock);
+    EXPECT_EQ(signature(m, out), expected);
 }
 
 TEST(GoldenCycles, Trapezoid4PeIdeal)
@@ -97,7 +85,7 @@ TEST(GoldenCycles, Trapezoid4PeIdeal)
     cfg.numPEs = 4;
     cfg.topology = ttda::MachineConfig::Topology::Ideal;
     cfg.netLatency = 2;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{0.0});
@@ -116,7 +104,7 @@ TEST(GoldenCycles, ProducerConsumer8PeCrossbar)
     cfg.topology = ttda::MachineConfig::Topology::Crossbar;
     cfg.netLatency = 3;
     cfg.outputBandwidth = 1;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{std::int64_t{24}});
@@ -140,7 +128,7 @@ TEST(GoldenCycles, Fib10OmegaBoundedMatchStore)
     cfg.matchOverflowPenalty = 10;
     cfg.opLatency[graph::Opcode::Add] = 3;
     cfg.opLatency[graph::Opcode::Apply] = 4;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{std::int64_t{10}});
@@ -157,7 +145,7 @@ TEST(GoldenCycles, ProducerConsumer8PeHypercubeByIteration)
     cfg.topology = ttda::MachineConfig::Topology::Hypercube;
     cfg.hopLatency = 2;
     cfg.mapping = ttda::MachineConfig::Mapping::ByIteration;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{std::int64_t{16}});
@@ -181,7 +169,7 @@ TEST(GoldenCycles, Trapezoid8PeHierarchicalSlowStages)
     cfg.fetchCycles = 2;
     cfg.aluCycles = 2;
     cfg.isWriteCycles = 4;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{1.0});
@@ -204,7 +192,7 @@ TEST(GoldenCycles, ProducerConsumer4PeJitterNoBypass)
     cfg.netJitter = 37;
     cfg.seed = 99;
     cfg.localBypass = false;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{std::int64_t{20}});
@@ -231,7 +219,7 @@ TEST(GoldenCycles, DeadlockTimingLocked)
     cfg.numPEs = 2;
     cfg.topology = ttda::MachineConfig::Topology::Ideal;
     cfg.netLatency = 2;
-    checkAllThreadCounts(
+    checkGolden(
         program, cfg,
         [&](ttda::Machine &m) {
             m.input(cb, 0, Value{std::int64_t{4}});

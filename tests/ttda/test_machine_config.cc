@@ -105,4 +105,27 @@ TEST(MachineConfig, HypercubeRequiresPow2)
     EXPECT_DEATH(ttda::Machine(p, cfg), "2");
 }
 
+TEST(MachineConfig, MoreThanOneThreadIsRejected)
+{
+    // The machine runs on the calling thread; threads 0 and 1 both
+    // select that engine, and anything else is a configuration error.
+    graph::Program p;
+    graph::BlockBuilder b(p, "main", 1);
+    const auto out = b.add(graph::Opcode::Output, 1);
+    b.to(0, out, 0);
+    b.build();
+    ttda::MachineConfig cfg;
+    cfg.numPEs = 4;
+    for (const std::uint32_t t : {0u, 1u}) {
+        cfg.threads = t;
+        ttda::Machine m(p, cfg);
+        m.input(0, 0, graph::Value{std::int64_t{7}});
+        const auto outputs = m.run();
+        ASSERT_EQ(outputs.size(), 1u) << "threads=" << t;
+        EXPECT_EQ(outputs[0].value.asInt(), 7) << "threads=" << t;
+    }
+    cfg.threads = 2;
+    EXPECT_DEATH(ttda::Machine(p, cfg), "one host thread");
+}
+
 } // namespace

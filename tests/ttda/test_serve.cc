@@ -3,7 +3,7 @@
  * Tests of the steady-state serving fast path: request multiplexing
  * (submit()/serve()), machine reset()/reuse, admission-control
  * backpressure, per-request latency accounting, and the determinism
- * contract of serving runs across host thread counts.
+ * contract of serving runs.
  */
 
 #include <algorithm>
@@ -35,13 +35,12 @@ fibRef(std::int64_t n)
 }
 
 ttda::MachineConfig
-serveConfig(std::uint32_t pes = 4, std::uint32_t threads = 1)
+serveConfig(std::uint32_t pes = 4)
 {
     ttda::MachineConfig cfg;
     cfg.numPEs = pes;
     cfg.topology = ttda::MachineConfig::Topology::Ideal;
     cfg.netLatency = 2;
-    cfg.threads = threads;
     return cfg;
 }
 
@@ -171,11 +170,13 @@ TEST(Serve, BitIdenticalAcrossThreadCounts)
     ac.seed = 17;
     const auto arrivals = workloads::arrivalSchedule(ac, 24);
 
+    // The machine runs on one host thread: a serving run on a second
+    // fresh machine must replay the first bit for bit.
     std::vector<sim::Cycle> cycles;
     std::vector<std::vector<graph::Value>> outputs;
     std::vector<double> p99;
-    for (const std::uint32_t t : {1u, 2u, 4u}) {
-        ttda::Machine m(program, serveConfig(8, t));
+    for (int run = 0; run < 2; ++run) {
+        ttda::Machine m(program, serveConfig(8));
         submitFibs(m, cb, arrivals);
         const auto out = m.serve();
         cycles.push_back(m.cycles());
@@ -186,11 +187,8 @@ TEST(Serve, BitIdenticalAcrossThreadCounts)
         outputs.push_back(std::move(vals));
     }
     EXPECT_EQ(cycles[1], cycles[0]);
-    EXPECT_EQ(cycles[2], cycles[0]);
     EXPECT_EQ(p99[1], p99[0]);
-    EXPECT_EQ(p99[2], p99[0]);
     EXPECT_EQ(outputs[1], outputs[0]);
-    EXPECT_EQ(outputs[2], outputs[0]);
 }
 
 TEST(Serve, BackpressureEngagesAndReleasesAtWatermark)

@@ -1,9 +1,8 @@
 /**
  * @file
  * Checkpoint/restore tests: pausing a run (runUntil/serveUntil),
- * snapshotting the paused machine, and restoring it — in a different
- * machine object and at a different host thread count — must be
- * bit-identical to the uninterrupted run: same outputs, same cycle
+ * snapshotting the paused machine, and restoring it in a different
+ * machine object must be bit-identical to the uninterrupted run: same outputs, same cycle
  * count, same full stats JSON. Plus the robustness contract: a
  * truncated, corrupted, version-skewed or mismatched snapshot is
  * rejected with sim::snapshot::Error, never undefined behavior.
@@ -30,13 +29,12 @@ using graph::Value;
  *  mid-epoch snapshot captures retransmit timers, dedup windows,
  *  fault-injector RNG state and admission-control state all at once. */
 ttda::MachineConfig
-servingConfig(std::uint32_t threads)
+servingConfig()
 {
     ttda::MachineConfig cfg;
     cfg.numPEs = 4;
     cfg.topology = ttda::MachineConfig::Topology::Ideal;
     cfg.netLatency = 2;
-    cfg.threads = threads;
     cfg.reliableNet = true;
     cfg.faults.seed = 5;
     cfg.faults.dropRate = 0.05;
@@ -87,7 +85,7 @@ TEST(Snapshot, MidServeRoundTripBitIdenticalAcrossThreadCounts)
     const auto arrivals = workloads::arrivalSchedule(ac, 16);
 
     // The uninterrupted reference epoch.
-    ttda::Machine ref(program, servingConfig(1));
+    ttda::Machine ref(program, servingConfig());
     submitFibs(ref, cb, arrivals);
     ref.serve();
     ASSERT_FALSE(ref.deadlocked());
@@ -95,31 +93,27 @@ TEST(Snapshot, MidServeRoundTripBitIdenticalAcrossThreadCounts)
     const sim::Cycle pauseAt = ref.cycles() / 2;
     ASSERT_GT(pauseAt, 0u);
 
-    for (const std::uint32_t saveThreads : {1u, 2u, 4u}) {
-        // Pause a serving epoch mid-flight and snapshot it.
-        ttda::Machine src(program, servingConfig(saveThreads));
-        submitFibs(src, cb, arrivals);
-        ASSERT_TRUE(src.serveUntil(pauseAt))
-            << "epoch finished before the pause cycle; lower pauseAt";
-        ASSERT_TRUE(src.paused());
-        std::ostringstream snap;
-        src.saveSnapshot(snap);
-        const sim::Cycle pausedCycle = src.cycles();
+    // Pause a serving epoch mid-flight and snapshot it.
+    ttda::Machine src(program, servingConfig());
+    submitFibs(src, cb, arrivals);
+    ASSERT_TRUE(src.serveUntil(pauseAt))
+        << "epoch finished before the pause cycle; lower pauseAt";
+    ASSERT_TRUE(src.paused());
+    std::ostringstream snap;
+    src.saveSnapshot(snap);
+    const sim::Cycle pausedCycle = src.cycles();
 
-        // The paused source machine itself must also resume exactly.
-        ASSERT_FALSE(src.serveUntil(sim::neverCycle));
-        expectSameRun(src, ref);
+    // The paused source machine itself must also resume exactly.
+    ASSERT_FALSE(src.serveUntil(sim::neverCycle));
+    expectSameRun(src, ref);
 
-        for (const std::uint32_t restoreThreads : {1u, 2u, 4u}) {
-            ttda::Machine dst(program, servingConfig(restoreThreads));
-            std::istringstream is(snap.str());
-            dst.restoreSnapshot(is);
-            EXPECT_EQ(dst.cycles(), pausedCycle);
-            ASSERT_FALSE(dst.serveUntil(sim::neverCycle))
-                << "restored epoch failed to finish";
-            expectSameRun(dst, ref);
-        }
-    }
+    ttda::Machine dst(program, servingConfig());
+    std::istringstream is(snap.str());
+    dst.restoreSnapshot(is);
+    EXPECT_EQ(dst.cycles(), pausedCycle);
+    ASSERT_FALSE(dst.serveUntil(sim::neverCycle))
+        << "restored epoch failed to finish";
+    expectSameRun(dst, ref);
 }
 
 TEST(Snapshot, PlainRunPauseRoundTrip)
@@ -128,7 +122,6 @@ TEST(Snapshot, PlainRunPauseRoundTrip)
     const auto cb = workloads::buildTrapezoid(program);
     ttda::MachineConfig cfg;
     cfg.numPEs = 4;
-    cfg.threads = 2;
 
     auto feed = [&](ttda::Machine &m) {
         m.input(cb, 0, Value{0.0});
@@ -155,19 +148,19 @@ TEST(Snapshot, PlainRunPauseRoundTrip)
 
 TEST(Snapshot, RepeatedPausesAccumulateHistogramsExactlyOnce)
 {
-    // Pausing every few hundred cycles re-merges the shard-local
-    // latency histograms each time; the final document must still
-    // match the uninterrupted run exactly.
+    // Pausing every 97 cycles and resuming must neither drop nor
+    // double-count latency-histogram samples: the final document must
+    // still match the uninterrupted run exactly.
     graph::Program program;
     const auto cb = workloads::buildFib(program);
-    auto cfg = servingConfig(2);
+    auto cfg = servingConfig();
 
     workloads::ArrivalConfig ac;
     ac.meanGap = 40.0;
     ac.seed = 31;
     const auto arrivals = workloads::arrivalSchedule(ac, 8);
 
-    ttda::Machine ref(program, servingConfig(2));
+    ttda::Machine ref(program, servingConfig());
     submitFibs(ref, cb, arrivals);
     ref.serve();
 
@@ -188,7 +181,7 @@ TEST(Snapshot, QuiescentMachineRoundTrips)
 {
     graph::Program program;
     const auto cb = workloads::buildFib(program);
-    auto cfg = servingConfig(1);
+    auto cfg = servingConfig();
 
     ttda::Machine src(program, cfg);
     submitFibs(src, cb, {0, 10, 20, 30});
@@ -213,7 +206,7 @@ class SnapshotRobustness : public ::testing::Test
     SetUp() override
     {
         cb_ = workloads::buildFib(program_);
-        cfg_ = servingConfig(1);
+        cfg_ = servingConfig();
         ttda::Machine src(program_, cfg_);
         submitFibs(src, cb_, {0, 16, 32, 48, 64, 80});
         ASSERT_TRUE(src.serveUntil(200));

@@ -121,39 +121,34 @@ TEST(WmStore, InsertEraseReinsertSameTag)
 
 /** The machine's cycle counts, outputs, and per-PE statistics must be
  *  identical whether the observability path (latencyStats) is compiled
- *  in (Obs=true) or out (Obs=false), at every thread count. */
+ *  in (Obs=true) or out (Obs=false). */
 TEST(WmStore, LatencyStatsDoesNotPerturbSimulation)
 {
     graph::Program program;
     const auto cb = workloads::buildProducerConsumer(program);
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        std::string sig[2];
-        for (int obs = 0; obs < 2; ++obs) {
-            ttda::MachineConfig cfg;
-            cfg.numPEs = 4;
-            cfg.threads = threads;
-            cfg.netLatency = 2;
-            cfg.latencyStats = obs == 1;
-            ttda::Machine m(program, cfg);
-            m.input(cb, 0, graph::Value{std::int64_t{16}});
-            auto out = m.run();
-            std::ostringstream os;
-            os << m.cycles() << "/" << m.totalFired() << "/"
-               << m.deadlocked() << "/";
-            for (const auto &rec : out)
-                os << rec.value.toString() << ",";
-            for (std::uint32_t p = 0; p < cfg.numPEs; ++p) {
-                const auto &st = m.peStats(p);
-                os << " " << st.tokensIn.value() << ","
-                   << st.fired.value() << ","
-                   << st.matchBusyCycles.value() << ","
-                   << st.outputTokens.value() << ","
-                   << st.waitStorePeak;
-            }
-            sig[obs] = os.str();
+    std::string sig[2];
+    for (int obs = 0; obs < 2; ++obs) {
+        ttda::MachineConfig cfg;
+        cfg.numPEs = 4;
+        cfg.netLatency = 2;
+        cfg.latencyStats = obs == 1;
+        ttda::Machine m(program, cfg);
+        m.input(cb, 0, graph::Value{std::int64_t{16}});
+        auto out = m.run();
+        std::ostringstream os;
+        os << m.cycles() << "/" << m.totalFired() << "/"
+           << m.deadlocked() << "/";
+        for (const auto &rec : out)
+            os << rec.value.toString() << ",";
+        for (std::uint32_t p = 0; p < cfg.numPEs; ++p) {
+            const auto &st = m.peStats(p);
+            os << " " << st.tokensIn.value() << "," << st.fired.value()
+               << "," << st.matchBusyCycles.value() << ","
+               << st.outputTokens.value() << "," << st.waitStorePeak;
         }
-        EXPECT_EQ(sig[0], sig[1]) << "threads=" << threads;
+        sig[obs] = os.str();
     }
+    EXPECT_EQ(sig[0], sig[1]);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,6 +135,43 @@ TEST(Arrivals, ParseAndNameRoundTrip)
                       workloads::arrivalKindName(kind)),
                   kind);
     EXPECT_DEATH(workloads::parseArrivalKind("weekly"), "unknown");
+}
+
+TEST(Arrivals, ConfigErrorNamesEachViolatedBound)
+{
+    EXPECT_EQ(workloads::arrivalConfigError(ArrivalConfig{}), nullptr);
+    const auto errorOf = [](auto mutate) {
+        ArrivalConfig cfg;
+        mutate(cfg);
+        const char *err = workloads::arrivalConfigError(cfg);
+        return std::string(err ? err : "");
+    };
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.meanGap = 0.0; }),
+              "meanGap must be > 0");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.meanGap = NAN; }),
+              "meanGap must be > 0");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.burstLen = 0; }),
+              "burstLen must be >= 1");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.burstScale = 2.0; }),
+              "burstScale must be in (0, 1]");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.burstScale = 0.0; }),
+              "burstScale must be in (0, 1]");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.diurnalDepth = 1.0; }),
+              "diurnalDepth must be in [0, 1)");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.diurnalDepth = -0.1; }),
+              "diurnalDepth must be in [0, 1)");
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) { c.diurnalPeriod = 0.0; }),
+              "diurnalPeriod must be > 0");
+    // In-range edges are accepted.
+    EXPECT_EQ(errorOf([](ArrivalConfig &c) {
+                  c.burstScale = 1.0;
+                  c.diurnalDepth = 0.0;
+              }),
+              "");
+
+    ArrivalConfig bad;
+    bad.burstLen = 0;
+    EXPECT_DEATH(arrivalSchedule(bad, 4), "burstLen must be >= 1");
 }
 
 TEST(Arrivals, StartOffsetsTheSchedule)
