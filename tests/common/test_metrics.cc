@@ -208,7 +208,7 @@ machineSeries()
     return os.str();
 }
 
-TEST(MachineMetrics, BitIdenticalAcrossThreadCounts)
+TEST(MachineMetrics, RepeatRunIsBitIdentical)
 {
     // The machine runs on one host thread; the series must replay bit
     // for bit on a second fresh machine.
@@ -249,7 +249,7 @@ vnSeries()
     return os.str();
 }
 
-TEST(VnMetrics, BitIdenticalAcrossThreadCounts)
+TEST(VnMetrics, RepeatRunIsBitIdentical)
 {
     // As for the TTDA: one host thread, and a replay matches bit for
     // bit.

@@ -113,7 +113,7 @@ TEST(TtdaFaults, BareMachineStrandsAndIsClassifiedAsLoss)
         << report;
 }
 
-TEST(TtdaFaults, BareLossyRunIsDeterministicAcrossThreads)
+TEST(TtdaFaults, BareLossyRunIsDeterministic)
 {
     // Even a stranded run must replay bit-identically: the fate
     // sequence is drawn in deliver order, which the tick fixes.

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "ttda/machine.hh"
+#include "topology_matrix.hh"
 #include "workloads/arrivals.hh"
 #include "workloads/dfg_programs.hh"
 
@@ -161,7 +162,7 @@ TEST(Serve, ResetThenPlainRunMatchesFreshMachine)
     EXPECT_EQ(reusedStats.str(), freshStats.str());
 }
 
-TEST(Serve, BitIdenticalAcrossThreadCounts)
+TEST(Serve, RepeatRunIsBitIdentical)
 {
     graph::Program program;
     const auto cb = workloads::buildFib(program);
@@ -414,5 +415,48 @@ TEST(Serve, SubmitAfterServeViaResetRunsFreshEpoch)
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].value.asInt(), fibRef(10));
 }
+
+class ServeMatrix : public ::testing::TestWithParam<matrix::Case>
+{
+};
+
+TEST_P(ServeMatrix, ResetThenServeMatchesFreshMachine)
+{
+    // Dirty the machine mid-epoch — requests queued, operands waiting,
+    // packets (and, when lossy, retransmit timers) in flight — then
+    // reset and serve another schedule: cycles, outputs and the full
+    // stats document must equal a fresh machine's.
+    graph::Program program;
+    const auto cb = workloads::buildFib(program);
+    const auto cfg = matrix::config(GetParam());
+
+    ttda::Machine fresh(program, cfg);
+    matrix::submitFibs(fresh, cb, 16, 11);
+    const auto freshOut = fresh.serve();
+    ASSERT_FALSE(fresh.deadlocked());
+    std::ostringstream freshStats;
+    fresh.dumpStatsJson(freshStats);
+
+    ttda::Machine reused(program, cfg);
+    matrix::submitFibs(reused, cb, 16, 41);
+    ASSERT_TRUE(reused.serveUntil(300));
+    reused.reset();
+    matrix::submitFibs(reused, cb, 16, 11);
+    const auto reusedOut = reused.serve();
+    std::ostringstream reusedStats;
+    reused.dumpStatsJson(reusedStats);
+
+    EXPECT_EQ(reused.cycles(), fresh.cycles());
+    ASSERT_EQ(reusedOut.size(), freshOut.size());
+    for (std::size_t i = 0; i < freshOut.size(); ++i) {
+        EXPECT_EQ(reusedOut[i].tag, freshOut[i].tag);
+        EXPECT_EQ(reusedOut[i].value, freshOut[i].value);
+    }
+    EXPECT_EQ(reusedStats.str(), freshStats.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTopologies, ServeMatrix,
+                         ::testing::ValuesIn(matrix::allCases()),
+                         matrix::caseName);
 
 } // namespace

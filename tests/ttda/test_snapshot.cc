@@ -8,15 +8,19 @@
  * rejected with sim::snapshot::Error, never undefined behavior.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "common/snapshot.hh"
 #include "ttda/machine.hh"
+#include "topology_matrix.hh"
 #include "workloads/arrivals.hh"
 #include "workloads/dfg_programs.hh"
 
@@ -75,7 +79,7 @@ expectSameRun(const ttda::Machine &a, const ttda::Machine &b)
     EXPECT_EQ(statsJson(a), statsJson(b));
 }
 
-TEST(Snapshot, MidServeRoundTripBitIdenticalAcrossThreadCounts)
+TEST(Snapshot, MidServeRoundTripIsBitIdentical)
 {
     graph::Program program;
     const auto cb = workloads::buildFib(program);
@@ -309,5 +313,178 @@ TEST_F(SnapshotRobustness, MismatchedProgramRejected)
     std::istringstream is(bytes_);
     EXPECT_THROW(m.restoreSnapshot(is), sim::snapshot::Error);
 }
+
+// ---- the topology matrix -------------------------------------------
+
+class SnapshotMatrix : public ::testing::TestWithParam<matrix::Case>
+{
+};
+
+TEST_P(SnapshotMatrix, MidServeRoundTripMatchesUninterruptedRun)
+{
+    graph::Program program;
+    const auto cb = workloads::buildFib(program);
+    const auto cfg = matrix::config(GetParam());
+
+    ttda::Machine ref(program, cfg);
+    matrix::submitFibs(ref, cb, 16, 23);
+    ref.serve();
+    ASSERT_FALSE(ref.deadlocked());
+    ASSERT_EQ(ref.requestsCompleted(), 16u);
+    const sim::Cycle pauseAt = ref.cycles() / 2;
+
+    ttda::Machine src(program, cfg);
+    matrix::submitFibs(src, cb, 16, 23);
+    ASSERT_TRUE(src.serveUntil(pauseAt));
+    std::ostringstream snap;
+    src.saveSnapshot(snap);
+
+    ttda::Machine dst(program, cfg);
+    std::istringstream is(snap.str());
+    dst.restoreSnapshot(is);
+    ASSERT_FALSE(dst.serveUntil(sim::neverCycle));
+    expectSameRun(dst, ref);
+}
+
+TEST_P(SnapshotMatrix, ResetMachineSnapshotEqualsFreshMachine)
+{
+    // Everything a snapshot records must be cleared by reset(): a
+    // machine reset mid-epoch, with every queue and in-flight
+    // structure populated, writes the same bytes as a fresh one.
+    graph::Program program;
+    const auto cb = workloads::buildFib(program);
+    const auto cfg = matrix::config(GetParam());
+
+    ttda::Machine fresh(program, cfg);
+    std::ostringstream freshSnap;
+    fresh.saveSnapshot(freshSnap);
+
+    ttda::Machine dirty(program, cfg);
+    matrix::submitFibs(dirty, cb, 16, 41);
+    ASSERT_TRUE(dirty.serveUntil(300));
+    dirty.reset();
+    std::ostringstream dirtySnap;
+    dirty.saveSnapshot(dirtySnap);
+
+    EXPECT_EQ(dirtySnap.str(), freshSnap.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTopologies, SnapshotMatrix,
+                         ::testing::ValuesIn(matrix::allCases()),
+                         matrix::caseName);
+
+// ---- seeded fuzz of the snapshot payload ---------------------------
+
+/** Re-wrap a payload in a valid envelope (header of `orig`, fresh
+ *  length and CRC), so the mutation reaches the machine's decoders
+ *  instead of being stopped by the envelope checks. */
+std::string
+rewrap(const std::string &orig, const std::string &payload)
+{
+    constexpr std::size_t kHeader = 14; // magic, version, endian tag
+    std::string out = orig.substr(0, kHeader);
+    auto putLe = [&out](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    putLe(payload.size(), 8);
+    out += payload;
+    putLe(sim::snapshot::crc32(
+              reinterpret_cast<const unsigned char *>(payload.data()),
+              payload.size()),
+          4);
+    return out;
+}
+
+/** Truncate, flip 1-4 bits, or overwrite a run of 1-8 bytes with 0xff. */
+std::string
+mutatePayload(std::string p, sim::Rng &rng)
+{
+    switch (rng.below(3)) {
+      case 0:
+        p.resize(rng.below(p.size()));
+        break;
+      case 1: {
+        const std::uint64_t flips = 1 + rng.below(4);
+        for (std::uint64_t i = 0; i < flips; ++i)
+            p[rng.below(p.size())] ^=
+                static_cast<char>(1u << rng.below(8));
+        break;
+      }
+      default: {
+        const std::size_t at = rng.below(p.size());
+        const std::size_t n =
+            std::min<std::size_t>(1 + rng.below(8), p.size() - at);
+        std::memset(p.data() + at, 0xff, n);
+        break;
+      }
+    }
+    return p;
+}
+
+struct FuzzExpect
+{
+    matrix::Topology topology;
+    int accepted;
+    int rejected;
+};
+
+class SnapshotFuzz : public ::testing::TestWithParam<FuzzExpect>
+{
+};
+
+TEST_P(SnapshotFuzz, MutatedPayloadIsAcceptedOrRejectedCleanly)
+{
+    // Every mutated payload must either restore, or throw the typed
+    // snapshot error and leave a machine that still serves. The
+    // accepted/rejected split is pinned: it moves only when the
+    // payload layout or the loaders' checks change.
+    constexpr int kMutations = 400;
+    constexpr std::size_t kPayloadAt = 22;
+    graph::Program program;
+    const auto cb = workloads::buildFib(program);
+    const auto cfg = matrix::config({GetParam().topology, true});
+
+    ttda::Machine src(program, cfg);
+    matrix::submitFibs(src, cb, 16, 23);
+    ASSERT_TRUE(src.serveUntil(300));
+    std::ostringstream os;
+    src.saveSnapshot(os);
+    const std::string bytes = os.str();
+    const std::string payload =
+        bytes.substr(kPayloadAt, bytes.size() - kPayloadAt - 4);
+
+    ttda::Machine m(program, cfg);
+    sim::Rng rng(0x5eed + static_cast<std::uint64_t>(GetParam().topology));
+    int accepted = 0;
+    int rejected = 0;
+    for (int i = 0; i < kMutations; ++i) {
+        std::istringstream is(rewrap(bytes, mutatePayload(payload, rng)));
+        try {
+            m.restoreSnapshot(is);
+            ++accepted;
+        } catch (const sim::snapshot::Error &) {
+            ++rejected;
+            m.submit(cb, {Value{std::int64_t{5}}}, 0);
+            const auto out = m.serve();
+            ASSERT_EQ(out.size(), 1u) << "mutation " << i;
+            EXPECT_EQ(out[0].value.asInt(), 5);
+        }
+    }
+    EXPECT_EQ(accepted + rejected, kMutations);
+    EXPECT_EQ(accepted, GetParam().accepted);
+    EXPECT_EQ(rejected, GetParam().rejected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTopologies, SnapshotFuzz,
+    ::testing::Values(FuzzExpect{matrix::Topology::Ideal, 253, 147},
+                      FuzzExpect{matrix::Topology::Crossbar, 259, 141},
+                      FuzzExpect{matrix::Topology::Hypercube, 238, 162},
+                      FuzzExpect{matrix::Topology::Omega, 245, 155},
+                      FuzzExpect{matrix::Topology::Hierarchical, 248, 152}),
+    [](const ::testing::TestParamInfo<FuzzExpect> &info) {
+        return matrix::topologyName(info.param.topology);
+    });
 
 } // namespace

@@ -113,7 +113,7 @@ TEST(VnFaults, BareMachineStrandsAndIsClassifiedAsLoss)
         << report;
 }
 
-TEST(VnFaults, BareLossyRunIsDeterministicAcrossThreads)
+TEST(VnFaults, BareLossyRunIsDeterministic)
 {
     const RunResult r = expectDeterministic(lossyConfig(0.05));
     EXPECT_TRUE(r.deadlocked);

@@ -137,7 +137,7 @@ TEST(VnServe, CompletesEveryRequestAndMeasuresLatency)
     EXPECT_LE(lat.summary().max(), static_cast<double>(m.cycles()));
 }
 
-TEST(VnServe, BitIdenticalAcrossThreadCounts)
+TEST(VnServe, RepeatRunIsBitIdentical)
 {
     workloads::ArrivalConfig ac;
     ac.meanGap = 24.0;
