@@ -152,39 +152,6 @@ class EventHeap
     std::uint64_t nextSeq_ = 0;
 };
 
-/** Checkpoint codecs: dump the node array verbatim in storage order
- *  (replaying it reproduces the heap, its tie-break order, and future
- *  pop order exactly). Payloads go through their own ADL overloads. */
-template <typename W, typename T>
-void
-snapSave(W &w, const EventHeap<T> &h)
-{
-    w.u64(h.size());
-    h.forEachNode(
-        [&w](Cycle key, std::uint64_t seq, const T &val) {
-            w.u64(key);
-            w.u64(seq);
-            snapSave(w, val);
-        });
-    w.u64(h.nextSeq());
-}
-
-template <typename R, typename T>
-void
-snapLoad(R &r, EventHeap<T> &h)
-{
-    h.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Cycle key = r.u64();
-        const std::uint64_t seq = r.u64();
-        T val{};
-        snapLoad(r, val);
-        h.restoreNode(key, seq, std::move(val));
-    }
-    h.setNextSeq(r.u64());
-}
-
 } // namespace sim
 
 #endif // TTDA_COMMON_EVENTHEAP_HH

@@ -30,12 +30,12 @@
 #ifndef TTDA_COMMON_FAULT_HH
 #define TTDA_COMMON_FAULT_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/state.hh"
 #include "common/types.hh"
 
 namespace sim
@@ -159,6 +159,14 @@ class FaultInjector
         {
             return drops + corrupts + linkDownDrops;
         }
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(decisions, drops, duplicates, corrupts, delays,
+              linkDownDrops);
+        }
     };
 
     explicit FaultInjector(const FaultPlan &plan);
@@ -191,23 +199,17 @@ class FaultInjector
     /** Rewind to the injector's initial state — reseed the
      *  probabilistic stream and zero the totals — so a reused machine
      *  replays the exact same fault sequence as a fresh one. */
-    void
-    reset()
-    {
-        rng_.reseed(plan_.seed);
-        stats_ = Stats{};
-    }
+    void reset() { sim::state::reset(*this); }
 
-    /** Checkpoint access: the probabilistic stream mid-sequence and
-     *  the totals, so a restored machine replays the remainder of the
-     *  fault sequence exactly. */
-    const Rng &rng() const { return rng_; }
+    /** Run state: the probabilistic stream mid-sequence and the
+     *  totals, so a restored machine replays the remainder of the
+     *  fault sequence exactly. The plan and its event tables are
+     *  configuration. */
+    template <class V>
     void
-    restore(const std::array<std::uint64_t, 4> &rngState,
-            const Stats &stats)
+    visitState(V &v)
     {
-        rng_.setState(rngState);
-        stats_ = stats;
+        v(rng_, stats_);
     }
 
   private:

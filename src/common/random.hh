@@ -31,6 +31,7 @@ class Rng
     void
     reseed(std::uint64_t seed)
     {
+        seed_ = seed;
         // SplitMix64 expansion of the seed into the full state.
         std::uint64_t x = seed;
         for (auto &word : state_) {
@@ -106,6 +107,9 @@ class Rng
         return min + below(max - min + 1);
     }
 
+    /** Replay the stream from the start: reseed with the last seed. */
+    void rewind() { reseed(seed_); }
+
     /** Raw generator state, for checkpointing mid-stream. */
     const std::array<std::uint64_t, 4> &
     state() const
@@ -121,6 +125,7 @@ class Rng
     }
 
   private:
+    std::uint64_t seed_ = 0;
     std::array<std::uint64_t, 4> state_{};
 };
 

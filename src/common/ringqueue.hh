@@ -111,31 +111,6 @@ class RingQueue
     std::size_t size_ = 0;
 };
 
-/** Checkpoint codecs: front-to-back element dump. The head position
- *  within the ring is not behavioural state — only FIFO order is —
- *  so a restored queue is rebuilt from index 0. */
-template <typename W, typename T>
-void
-snapSave(W &w, const RingQueue<T> &q)
-{
-    w.u64(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i)
-        snapSave(w, q.at(i));
-}
-
-template <typename R, typename T>
-void
-snapLoad(R &r, RingQueue<T> &q)
-{
-    q.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        T v{};
-        snapLoad(r, v);
-        q.push_back(std::move(v));
-    }
-}
-
 } // namespace sim
 
 #endif // TTDA_COMMON_RINGQUEUE_HH

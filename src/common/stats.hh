@@ -339,76 +339,6 @@ class Histogram
     Accumulator acc_;
 };
 
-/** Checkpoint codecs. W/R are snapshot writer/reader types (see
- *  common/snapshot.hh); keeping these as templates means stats.hh
- *  stays free of the snapshot dependency, and user-defined types
- *  compose by providing their own ADL overloads. */
-template <typename W>
-void
-snapSave(W &w, const Counter &c)
-{
-    w.u64(c.value());
-}
-
-template <typename R>
-void
-snapLoad(R &r, Counter &c)
-{
-    c.reset();
-    c.inc(r.u64());
-}
-
-template <typename W>
-void
-snapSave(W &w, const Accumulator &a)
-{
-    w.f64(a.sum());
-    w.u64(a.count());
-    w.f64(a.min());
-    w.f64(a.max());
-}
-
-template <typename R>
-void
-snapLoad(R &r, Accumulator &a)
-{
-    const double sum = r.f64();
-    const std::uint64_t count = r.u64();
-    const double mn = r.f64();
-    const double mx = r.f64();
-    a.restore(sum, count, mn, mx);
-}
-
-template <typename W>
-void
-snapSave(W &w, const Histogram &h)
-{
-    snapSave(w, h.summary());
-    w.u64(h.underflow());
-    w.u64(h.overflow());
-    w.u64(h.bins().size());
-    for (const std::uint64_t b : h.bins())
-        w.u64(b);
-}
-
-template <typename R>
-void
-snapLoad(R &r, Histogram &h)
-{
-    Accumulator acc;
-    snapLoad(r, acc);
-    const std::uint64_t underflow = r.u64();
-    const std::uint64_t overflow = r.u64();
-    const std::uint64_t n = r.u64();
-    if (n != h.bins().size())
-        r.fail("histogram bin count does not match configuration");
-    std::vector<std::uint64_t> bins;
-    bins.reserve(h.bins().size());
-    for (std::uint64_t i = 0; i < n; ++i)
-        bins.push_back(r.u64());
-    h.restore(bins, underflow, overflow, acc);
-}
-
 /** A named bag of scalar statistics, dumpable for reports. */
 class StatGroup
 {

@@ -17,6 +17,7 @@
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
+#include "common/state.hh"
 #include "graph/snapcodec.hh"
 #include "workloads/dfg_programs.hh"
 
@@ -864,9 +865,7 @@ saveSpec(sim::snapshot::Writer &w, const JobSpec &spec)
 {
     w.u8(static_cast<std::uint8_t>(spec.tier));
     w.str(spec.workload);
-    w.u64(spec.args.size());
-    for (const graph::Value &v : spec.args)
-        snapSave(w, v);
+    sim::state::save(w, spec.args);
     w.u64(spec.requests);
     w.u8(static_cast<std::uint8_t>(spec.arrival.kind));
     w.f64(spec.arrival.meanGap);
@@ -896,12 +895,7 @@ loadSpec(sim::snapshot::Reader &r)
         r.fail("unknown job tier");
     spec.tier = static_cast<Tier>(tier);
     spec.workload = r.str();
-    const std::uint64_t nargs = r.u64();
-    for (std::uint64_t i = 0; i < nargs; ++i) {
-        graph::Value v;
-        snapLoad(r, v);
-        spec.args.push_back(v);
-    }
+    sim::state::load(r, spec.args);
     spec.requests = r.u64();
     const std::uint8_t kind = r.u8();
     if (kind > static_cast<std::uint8_t>(
@@ -967,21 +961,17 @@ Daemon::saveCheckpoint(const std::string &path)
             w.u64(vn->cycles);
             w.u64(vn->submitted);
             w.u64(vn->completed);
-            snapSave(w, vn->latency);
+            sim::state::save(w, vn->latency);
             continue;
         }
         const auto &r = std::get<serve::FleetJobResult>(rec.result);
-        w.u64(r.outputs.size());
-        for (const ttda::OutputRecord &out : r.outputs) {
-            snapSave(w, out.tag);
-            snapSave(w, out.value);
-        }
+        sim::state::save(w, r.outputs);
         w.u64(r.cycles);
         w.b(r.deadlocked);
         w.u64(r.submitted);
         w.u64(r.completed);
         w.u64(r.watermarkHits);
-        snapSave(w, r.latency);
+        sim::state::save(w, r.latency);
         w.str(r.statsJson);
         w.u32(r.worker);
     }
@@ -1047,23 +1037,17 @@ Daemon::loadCheckpoint(const std::string &path)
                 vn.cycles = r.u64();
                 vn.submitted = r.u64();
                 vn.completed = r.u64();
-                snapLoad(r, vn.latency);
+                sim::state::load(r, vn.latency);
                 rec.result = std::move(vn);
             } else {
                 serve::FleetJobResult res;
-                const std::uint64_t nout = r.u64();
-                for (std::uint64_t o = 0; o < nout; ++o) {
-                    ttda::OutputRecord out;
-                    snapLoad(r, out.tag);
-                    snapLoad(r, out.value);
-                    res.outputs.push_back(out);
-                }
+                sim::state::load(r, res.outputs);
                 res.cycles = r.u64();
                 res.deadlocked = r.b();
                 res.submitted = r.u64();
                 res.completed = r.u64();
                 res.watermarkHits = r.u64();
-                snapLoad(r, res.latency);
+                sim::state::load(r, res.latency);
                 res.statsJson = r.str();
                 res.worker = r.u32();
                 rec.result = std::move(res);

@@ -7,7 +7,7 @@ namespace graph
 
 ContextManager::ContextManager()
 {
-    live_.emplace(rootContext, ContextInfo{});
+    onReset();
 }
 
 ContextId
@@ -79,17 +79,11 @@ ContextManager::rootIter(ContextId id) const
 }
 
 void
-ContextManager::reset()
+ContextManager::onReset()
 {
-    interned_.clear();
-    live_.clear();
     live_.emplace(rootContext, ContextInfo{});
     next_ = rootContext + 1;
     peak_ = 1;
-    // The counters too: a reset machine's stats must be bit-identical
-    // to a freshly constructed one's.
-    created_.reset();
-    released_.reset();
 }
 
 } // namespace graph

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/state.hh"
 #include "common/stats.hh"
 #include "graph/program.hh"
 #include "graph/tag.hh"
@@ -41,6 +42,13 @@ struct ContextInfo
     //! Loop contexts: LoopExit firings still expected before the
     //! context id can be reclaimed (0 = never reclaimed).
     std::uint16_t remainingExits = 0;
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(caller, targetCb, resultDests, remainingExits);
+    }
 };
 
 /** Shared runtime table of live contexts. */
@@ -93,76 +101,20 @@ class ContextManager
     std::uint32_t rootIter(ContextId id) const;
 
     /** Drop everything except the root context (between runs). */
-    void reset();
+    void reset() { sim::state::reset(*this); }
 
-    /** Serialize the whole table for checkpointing. W is a snapshot
-     *  writer; tags and destinations go through ADL `snapSave`. */
-    template <typename W>
+    /** The whole table. Hash-map iteration order is rebuilt on load,
+     *  not preserved — nothing behavioural reads it (lookups are by
+     *  key; only forensics iterate). */
+    template <class V>
     void
-    save(W &w) const
+    visitState(V &v)
     {
-        w.u64(interned_.size());
-        for (const auto &[key, id] : interned_) {
-            w.u32(key.ctx);
-            w.u32(key.iter);
-            w.u32(key.site);
-            w.u32(id);
-        }
-        w.u64(live_.size());
-        for (const auto &[id, info] : live_) {
-            w.u32(id);
-            snapSave(w, info.caller);
-            w.u16(info.targetCb);
-            w.u64(info.resultDests.size());
-            for (const Dest &d : info.resultDests)
-                snapSave(w, d);
-            w.u16(info.remainingExits);
-        }
-        w.u32(next_);
-        w.u64(peak_);
-        w.u64(created_.value());
-        w.u64(released_.value());
+        v(interned_, live_, next_, peak_, created_, released_);
     }
 
-    /** Rebuild the table from a save() stream. Hash-map iteration
-     *  order is rebuilt, not preserved — nothing behavioural reads
-     *  it (lookups are by key; only forensics iterate). */
-    template <typename R>
-    void
-    load(R &r)
-    {
-        interned_.clear();
-        live_.clear();
-        const std::uint64_t ni = r.u64();
-        for (std::uint64_t i = 0; i < ni; ++i) {
-            Key key{};
-            key.ctx = r.u32();
-            key.iter = r.u32();
-            key.site = r.u32();
-            interned_.emplace(key, r.u32());
-        }
-        const std::uint64_t nl = r.u64();
-        for (std::uint64_t i = 0; i < nl; ++i) {
-            const ContextId id = r.u32();
-            ContextInfo info;
-            snapLoad(r, info.caller);
-            info.targetCb = r.u16();
-            const std::uint64_t nd = r.u64();
-            for (std::uint64_t k = 0; k < nd; ++k) {
-                Dest d{};
-                snapLoad(r, d);
-                info.resultDests.push_back(d);
-            }
-            info.remainingExits = r.u16();
-            live_.emplace(id, std::move(info));
-        }
-        next_ = r.u32();
-        peak_ = r.u64();
-        created_.reset();
-        created_.inc(r.u64());
-        released_.reset();
-        released_.inc(r.u64());
-    }
+    /** The non-zero part of a fresh table: the live root context. */
+    void onReset();
 
   private:
     struct Key
@@ -172,6 +124,13 @@ class ContextManager
         std::uint32_t site;
 
         bool operator==(const Key &) const = default;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(ctx, iter, site);
+        }
     };
 
     struct KeyHash
@@ -189,8 +148,8 @@ class ContextManager
 
     std::unordered_map<Key, ContextId, KeyHash> interned_;
     std::unordered_map<ContextId, ContextInfo> live_;
-    ContextId next_ = rootContext + 1;
-    std::uint64_t peak_ = 1;
+    ContextId next_ = 0;
+    std::uint64_t peak_ = 0;
     sim::Counter created_;
     sim::Counter released_;
 };

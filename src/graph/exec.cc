@@ -40,7 +40,6 @@ Executor::execute(const EnabledInstruction &enabled,
                    "{}:{} {} fired with {} operands, expected {}",
                    tag.codeBlock, tag.stmt, opcodeName(in.op),
                    ops.size(), expected);
-    ++fired_;
 
     auto emit_all = [&](const std::vector<Dest> &dests, const Value &v) {
         for (const Dest &d : dests)

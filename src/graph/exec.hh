@@ -64,12 +64,6 @@ class Executor
     const Program &program() const { return program_; }
     ContextManager &contexts() { return contexts_; }
 
-    /** Total activities fired through this executor. */
-    std::uint64_t fired() const { return fired_; }
-
-    /** Zero the fire count (machine reset between runs). */
-    void resetFired() { fired_ = 0; }
-
   private:
     /** Build the Normal token for edge `d` of the firing instruction,
      *  staying in `tag`'s context. */
@@ -78,7 +72,6 @@ class Executor
 
     const Program &program_;
     ContextManager &contexts_;
-    std::uint64_t fired_ = 0;
 };
 
 } // namespace graph

@@ -1,16 +1,15 @@
 /**
  * @file
- * Checkpoint codecs (`snapSave`/`snapLoad`) for the graph-layer value
- * types that appear inside machine run state: tags, continuations,
- * dynamically typed values, tokens, I-structure continuations and
- * destination records.
+ * Field lists (see common/state.hh) for the graph-layer types that
+ * appear inside machine run state: tags, continuations, destination
+ * records, tokens, I-structure continuations and enabled
+ * instructions; plus the one custom codec, for dynamically typed
+ * values.
  *
- * The functions are templates over the writer/reader type, found by
- * argument-dependent lookup from the container codecs in
- * common/{stats,eventheap,ringqueue}.hh and the templated save/load
- * members of IStructure / ContextManager / the network topologies.
- * Nothing here depends on common/snapshot.hh; the concrete W/R bind
- * at instantiation inside ttda/snapshot.cc.
+ * The field lists are free functions found by argument-dependent
+ * lookup, so the hot-path headers that define the types stay free of
+ * checkpoint concerns. Include this header wherever a machine's state
+ * is saved or loaded.
  */
 
 #ifndef TTDA_GRAPH_SNAPCODEC_HH
@@ -18,6 +17,7 @@
 
 #include <cstdint>
 
+#include "common/state.hh"
 #include "graph/exec.hh"
 #include "graph/program.hh"
 #include "graph/tag.hh"
@@ -27,58 +27,48 @@
 namespace graph
 {
 
-template <typename W>
+template <class V>
 void
-snapSave(W &w, const Tag &t)
+visitState(V &v, Tag &t)
 {
-    w.u32(t.ctx);
-    w.u16(t.codeBlock);
-    w.u16(t.stmt);
-    w.u32(t.iter);
+    v(t.ctx, t.codeBlock, t.stmt, t.iter);
 }
 
-template <typename R>
+template <class V>
 void
-snapLoad(R &r, Tag &t)
+visitState(V &v, Continuation &c)
 {
-    t.ctx = r.u32();
-    t.codeBlock = r.u16();
-    t.stmt = r.u16();
-    t.iter = r.u32();
+    v(c.tag, c.port, c.nt);
 }
 
-template <typename W>
+template <class V>
 void
-snapSave(W &w, const Continuation &c)
+visitState(V &v, Dest &d)
 {
-    snapSave(w, c.tag);
-    w.u8(c.port);
-    w.u8(c.nt);
+    v(d.stmt, d.port);
 }
 
-template <typename R>
+template <class V>
 void
-snapLoad(R &r, Continuation &c)
+visitState(V &v, Token &t)
 {
-    snapLoad(r, c.tag);
-    c.port = r.u8();
-    c.nt = r.u8();
+    v(sim::state::bounded(t.kind, TokenKind::Output, "bad token kind"),
+      t.pe, t.tag, t.port, t.nt, t.data, t.addr, t.aux, t.reply, t.seq,
+      t.born);
 }
 
-template <typename W>
+template <class V>
 void
-snapSave(W &w, const Dest &d)
+visitState(V &v, IsCont &c)
 {
-    w.u16(d.stmt);
-    w.u8(d.port);
+    v(c.toCell, c.born, c.cont, c.cellAddr);
 }
 
-template <typename R>
+template <class V>
 void
-snapLoad(R &r, Dest &d)
+visitState(V &v, EnabledInstruction &e)
 {
-    d.stmt = r.u16();
-    d.port = r.u8();
+    v(e.tag, e.operands);
 }
 
 /** Values encode as the variant alternative index plus the payload of
@@ -131,87 +121,6 @@ snapLoad(R &r, Value &v)
       }
       default:
         r.fail("bad value alternative");
-    }
-}
-
-template <typename W>
-void
-snapSave(W &w, const Token &t)
-{
-    w.u8(static_cast<std::uint8_t>(t.kind));
-    w.u32(t.pe);
-    snapSave(w, t.tag);
-    w.u8(t.port);
-    w.u8(t.nt);
-    snapSave(w, t.data);
-    w.u64(t.addr);
-    w.u64(t.aux);
-    snapSave(w, t.reply);
-    w.u32(t.seq);
-    w.u32(t.born);
-}
-
-template <typename R>
-void
-snapLoad(R &r, Token &t)
-{
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(TokenKind::Output))
-        r.fail("bad token kind");
-    t.kind = static_cast<TokenKind>(kind);
-    t.pe = r.u32();
-    snapLoad(r, t.tag);
-    t.port = r.u8();
-    t.nt = r.u8();
-    snapLoad(r, t.data);
-    t.addr = r.u64();
-    t.aux = r.u64();
-    snapLoad(r, t.reply);
-    t.seq = r.u32();
-    t.born = r.u32();
-}
-
-template <typename W>
-void
-snapSave(W &w, const IsCont &c)
-{
-    w.b(c.toCell);
-    w.u32(c.born);
-    snapSave(w, c.cont);
-    w.u64(c.cellAddr);
-}
-
-template <typename R>
-void
-snapLoad(R &r, IsCont &c)
-{
-    c.toCell = r.b();
-    c.born = r.u32();
-    snapLoad(r, c.cont);
-    c.cellAddr = r.u64();
-}
-
-template <typename W>
-void
-snapSave(W &w, const EnabledInstruction &e)
-{
-    snapSave(w, e.tag);
-    w.u64(e.operands.size());
-    for (const Value &v : e.operands)
-        snapSave(w, v);
-}
-
-template <typename R>
-void
-snapLoad(R &r, EnabledInstruction &e)
-{
-    snapLoad(r, e.tag);
-    e.operands.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Value v;
-        snapLoad(r, v);
-        e.operands.push_back(v);
     }
 }
 

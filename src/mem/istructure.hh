@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/ringqueue.hh"
+#include "common/state.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/word.hh"
@@ -55,6 +56,14 @@ struct IStructureStats
     sim::Counter deferredServed;   //!< deferred reads satisfied by writes
     sim::Counter multipleWrites;   //!< single-assignment violations
     sim::Accumulator deferredListLen; //!< list length sampled at writes
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(fetches, fetchesDeferred, stores, deferredServed, multipleWrites,
+          deferredListLen);
+    }
 };
 
 /**
@@ -66,13 +75,9 @@ class IStructure
   public:
     using ValueType = ValueT;
 
-    explicit IStructure(std::size_t words)
-        : words_(words),
-          chunks_((words + kChunkWords - 1) / kChunkWords)
-    {
-    }
+    explicit IStructure(std::size_t words) : cells_(words) {}
 
-    std::size_t size() const { return words_; }
+    std::size_t size() const { return cells_.words; }
 
     /**
      * Allocate `n` fresh (Empty) words; returns the base address.
@@ -83,14 +88,14 @@ class IStructure
     allocate(std::size_t n)
     {
         const std::uint64_t base = allocPtr_;
-        if (allocPtr_ + n > words_)
+        if (allocPtr_ + n > size())
             return ~std::uint64_t{0}; // out of storage; caller checks
         allocPtr_ += n;
         return base;
     }
 
     /** Remaining unallocated words. */
-    std::size_t freeWords() const { return words_ - allocPtr_; }
+    std::size_t freeWords() const { return size() - allocPtr_; }
 
     /**
      * Process a read request for `addr` on behalf of continuation `c`.
@@ -102,7 +107,7 @@ class IStructure
     fetch(std::uint64_t addr, Cont c,
           std::vector<std::pair<Cont, ValueT>> &out)
     {
-        Cell &cell = at(addr);
+        Cell &cell = cells_.at(addr);
         stats_.fetches.inc();
         if (cell.presence == Presence::Present) {
             out.emplace_back(std::move(c), cell.value);
@@ -126,7 +131,7 @@ class IStructure
     store(std::uint64_t addr, ValueT value,
           std::vector<std::pair<Cont, ValueT>> &out)
     {
-        Cell &cell = at(addr);
+        Cell &cell = cells_.at(addr);
         stats_.stores.inc();
         if (cell.presence == Presence::Present) {
             stats_.multipleWrites.inc();
@@ -148,34 +153,30 @@ class IStructure
     Presence
     presence(std::uint64_t addr) const
     {
-        return at(addr).presence;
+        return cells_.at(addr).presence;
     }
 
     /** Value of a Present cell. */
     ValueT
     peek(std::uint64_t addr) const
     {
-        const Cell &cell = at(addr);
-        return cell.value;
+        return cells_.at(addr).value;
     }
 
     /** Reset a range back to Empty (storage reuse between runs). */
     void
     clear(std::uint64_t addr, std::size_t n)
     {
-        SIM_ASSERT(addr + n <= words_);
+        SIM_ASSERT(addr + n <= size());
         std::uint64_t a = addr;
         const std::uint64_t end = addr + n;
         while (a < end) {
-            if (!chunks_[a / kChunkWords]) {
+            if (!cells_.chunks[a / kChunkWords]) {
                 // An unmaterialized chunk is already all-Empty.
                 a = (a / kChunkWords + 1) * kChunkWords;
                 continue;
             }
-            Cell &cell = at(a);
-            cell.presence = Presence::Empty;
-            cell.value = ValueT{};
-            cell.deferred.clear();
+            sim::state::reset(cells_.at(a));
             ++a;
         }
     }
@@ -187,38 +188,16 @@ class IStructure
      * epochs; re-deallocating and re-materializing the chunks was
      * exactly the construction cost chunking removed.
      */
-    void
-    reset()
-    {
-        for (auto &chunk : chunks_) {
-            if (!chunk)
-                continue;
-            for (std::size_t i = 0; i < kChunkWords; ++i) {
-                chunk[i].presence = Presence::Empty;
-                chunk[i].value = ValueT{};
-                chunk[i].deferred.clear();
-            }
-        }
-        allocPtr_ = 0;
-        stats_.fetches.reset();
-        stats_.fetchesDeferred.reset();
-        stats_.stores.reset();
-        stats_.deferredServed.reset();
-        stats_.multipleWrites.reset();
-        stats_.deferredListLen.reset();
-    }
+    void reset() { sim::state::reset(*this); }
 
     /** Number of reads currently parked on deferred lists. */
     std::size_t
     outstandingReads() const
     {
         std::size_t n = 0;
-        for (const auto &chunk : chunks_) {
-            if (!chunk)
-                continue;
-            for (std::size_t i = 0; i < kChunkWords; ++i)
-                n += chunk[i].deferred.size();
-        }
+        cells_.forEachLive([&n](std::uint64_t, const Cell &cell) {
+            n += cell.deferred.size();
+        });
         return n;
     }
 
@@ -227,7 +206,7 @@ class IStructure
     const std::vector<Cont> &
     deferredList(std::uint64_t addr) const
     {
-        return at(addr).deferred;
+        return cells_.at(addr).deferred;
     }
 
     /** Local addresses that still have parked readers (diagnosis of
@@ -236,98 +215,26 @@ class IStructure
     deferredAddresses(std::size_t limit = 16) const
     {
         std::vector<std::uint64_t> out;
-        for (std::size_t c = 0;
-             c < chunks_.size() && out.size() < limit; ++c)
-        {
-            if (!chunks_[c])
-                continue;
-            for (std::size_t i = 0;
-                 i < kChunkWords && out.size() < limit; ++i)
-            {
-                if (!chunks_[c][i].deferred.empty())
-                    out.push_back(c * kChunkWords + i);
-            }
-        }
+        cells_.forEachLive([&](std::uint64_t addr, const Cell &cell) {
+            if (out.size() < limit && !cell.deferred.empty())
+                out.push_back(addr);
+        });
         return out;
     }
 
     const IStructureStats &stats() const { return stats_; }
 
-    /** Serialize the run state — allocation pointer, stats, and every
-     *  non-Empty cell with its deferred-read list — for checkpointing.
-     *  W is a snapshot writer; cell values and continuations are
-     *  encoded by ADL `snapSave` overloads resolved at instantiation. */
-    template <typename W>
+    /** Run state: allocation pointer, statistics, and every cell with
+     *  its deferred-read list. The loaded pointer is checked against
+     *  the configured size (the bytes are untrusted). */
+    template <class V>
     void
-    save(W &w) const
+    visitState(V &v)
     {
-        w.u64(allocPtr_);
-        w.u64(stats_.fetches.value());
-        w.u64(stats_.fetchesDeferred.value());
-        w.u64(stats_.stores.value());
-        w.u64(stats_.deferredServed.value());
-        w.u64(stats_.multipleWrites.value());
-        w.f64(stats_.deferredListLen.sum());
-        w.u64(stats_.deferredListLen.count());
-        w.f64(stats_.deferredListLen.min());
-        w.f64(stats_.deferredListLen.max());
-        std::uint64_t live = 0;
-        forEachLiveCell([&](std::uint64_t, const Cell &) { ++live; });
-        w.u64(live);
-        forEachLiveCell([&](std::uint64_t addr, const Cell &cell) {
-            w.u64(addr);
-            w.u8(static_cast<std::uint8_t>(cell.presence));
-            snapSave(w, cell.value);
-            w.u64(cell.deferred.size());
-            for (const Cont &c : cell.deferred)
-                snapSave(w, c);
-        });
-    }
-
-    /** Rebuild the run state from a save() stream onto a reset
-     *  storage. Unmaterialized chunks stay unmaterialized unless the
-     *  stream touches them; addresses are validated against the
-     *  configured size (the bytes are untrusted). */
-    template <typename R>
-    void
-    load(R &r)
-    {
-        reset();
-        allocPtr_ = r.u64();
-        if (allocPtr_ > words_)
-            r.fail("i-structure allocation pointer beyond size");
-        auto counter = [&r](sim::Counter &c) {
-            c.reset();
-            c.inc(r.u64());
-        };
-        counter(stats_.fetches);
-        counter(stats_.fetchesDeferred);
-        counter(stats_.stores);
-        counter(stats_.deferredServed);
-        counter(stats_.multipleWrites);
-        const double sum = r.f64();
-        const std::uint64_t count = r.u64();
-        const double mn = r.f64();
-        const double mx = r.f64();
-        stats_.deferredListLen.restore(sum, count, mn, mx);
-        const std::uint64_t live = r.u64();
-        for (std::uint64_t i = 0; i < live; ++i) {
-            const std::uint64_t addr = r.u64();
-            if (addr >= words_)
-                r.fail("i-structure cell address out of range");
-            Cell &cell = at(addr);
-            const std::uint8_t p = r.u8();
-            if (p > static_cast<std::uint8_t>(Presence::Present))
-                r.fail("bad i-structure presence state");
-            cell.presence = static_cast<Presence>(p);
-            snapLoad(r, cell.value);
-            const std::uint64_t nd = r.u64();
-            for (std::uint64_t k = 0; k < nd; ++k) {
-                Cont c{};
-                snapLoad(r, c);
-                cell.deferred.push_back(std::move(c));
-            }
-        }
+        v(sim::state::bounded(allocPtr_, size(),
+                              "i-structure allocation pointer beyond "
+                              "size"),
+          stats_, cells_);
     }
 
   private:
@@ -336,6 +243,15 @@ class IStructure
         Presence presence = Presence::Empty;
         ValueT value{};
         std::vector<Cont> deferred;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(sim::state::bounded(presence, Presence::Present,
+                                  "bad i-structure presence state"),
+              value, deferred);
+        }
     };
 
     /**
@@ -348,52 +264,106 @@ class IStructure
      */
     static constexpr std::size_t kChunkWords = 4096;
 
-    /** Visit every materialized cell that differs from the default
-     *  all-Empty state, in ascending address order. */
-    template <typename F>
-    void
-    forEachLiveCell(F &&f) const
+    /** The sparse cell array. Its checkpoint codec writes only the
+     *  cells that differ from Empty, as (address, cell) pairs in
+     *  ascending address order; loading validates every address and
+     *  materializes only the chunks the stream touches. */
+    struct CellStore
     {
-        for (std::size_t c = 0; c < chunks_.size(); ++c) {
-            if (!chunks_[c])
-                continue;
-            for (std::size_t i = 0; i < kChunkWords; ++i) {
-                const Cell &cell = chunks_[c][i];
-                if (cell.presence != Presence::Empty ||
-                    !cell.deferred.empty())
-                    f(c * kChunkWords + i, cell);
+        explicit CellStore(std::size_t n)
+            : words(n), chunks((n + kChunkWords - 1) / kChunkWords)
+        {
+        }
+
+        Cell &
+        at(std::uint64_t addr)
+        {
+            SIM_ASSERT_MSG(addr < words,
+                           "i-structure address {} beyond size {}",
+                           addr, words);
+            auto &chunk = chunks[addr / kChunkWords];
+            if (!chunk)
+                chunk = std::make_unique<Cell[]>(kChunkWords);
+            return chunk[addr % kChunkWords];
+        }
+
+        const Cell &
+        at(std::uint64_t addr) const
+        {
+            SIM_ASSERT_MSG(addr < words,
+                           "i-structure address {} beyond size {}",
+                           addr, words);
+            const auto &chunk = chunks[addr / kChunkWords];
+            if (!chunk) {
+                static const Cell kEmpty{};
+                return kEmpty;
+            }
+            return chunk[addr % kChunkWords];
+        }
+
+        /** Visit every materialized cell that differs from the default
+         *  all-Empty state, in ascending address order. */
+        template <typename F>
+        void
+        forEachLive(F &&f) const
+        {
+            for (std::size_t c = 0; c < chunks.size(); ++c) {
+                if (!chunks[c])
+                    continue;
+                for (std::size_t i = 0; i < kChunkWords; ++i) {
+                    const Cell &cell = chunks[c][i];
+                    if (cell.presence != Presence::Empty ||
+                        !cell.deferred.empty())
+                        f(c * kChunkWords + i, cell);
+                }
             }
         }
-    }
 
-    Cell &
-    at(std::uint64_t addr)
-    {
-        SIM_ASSERT_MSG(addr < words_,
-                       "i-structure address {} beyond size {}", addr,
-                       words_);
-        auto &chunk = chunks_[addr / kChunkWords];
-        if (!chunk)
-            chunk = std::make_unique<Cell[]>(kChunkWords);
-        return chunk[addr % kChunkWords];
-    }
-
-    const Cell &
-    at(std::uint64_t addr) const
-    {
-        SIM_ASSERT_MSG(addr < words_,
-                       "i-structure address {} beyond size {}", addr,
-                       words_);
-        const auto &chunk = chunks_[addr / kChunkWords];
-        if (!chunk) {
-            static const Cell kEmpty{};
-            return kEmpty;
+        /** Every cell back to Empty, keeping the materialized chunks
+         *  and each cell's deferred-list capacity. */
+        void
+        reset()
+        {
+            for (auto &chunk : chunks) {
+                if (!chunk)
+                    continue;
+                for (std::size_t i = 0; i < kChunkWords; ++i)
+                    sim::state::reset(chunk[i]);
+            }
         }
-        return chunk[addr % kChunkWords];
-    }
 
-    std::size_t words_;
-    std::vector<std::unique_ptr<Cell[]>> chunks_;
+        template <class W>
+        friend void
+        snapSave(W &w, const CellStore &s)
+        {
+            std::uint64_t live = 0;
+            s.forEachLive([&live](std::uint64_t, const Cell &) { ++live; });
+            w.u64(live);
+            s.forEachLive([&w](std::uint64_t addr, const Cell &cell) {
+                w.u64(addr);
+                sim::state::save(w, cell);
+            });
+        }
+
+        template <class R>
+        friend void
+        snapLoad(R &r, CellStore &s)
+        {
+            s.reset();
+            const std::uint64_t live = r.u64();
+            for (std::uint64_t i = 0; i < live; ++i) {
+                const std::uint64_t addr = r.u64();
+                if (addr >= s.words)
+                    r.fail("i-structure cell address out of range");
+                sim::state::load(r, s.at(addr));
+            }
+        }
+
+        std::size_t words;
+        std::vector<std::unique_ptr<Cell[]>> chunks;
+    };
+
+    CellStore cells_;
     std::uint64_t allocPtr_ = 0;
     IStructureStats stats_;
 };

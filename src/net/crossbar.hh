@@ -146,45 +146,16 @@ class Crossbar : public Network<Payload>
         return occ;
     }
 
-    void
-    reset() override
-    {
-        Network<Payload>::reset();
-        now_ = 0;
-        for (auto &q : inputQueues_)
-            q.clear();
-        std::fill(rrPointer_.begin(), rrPointer_.end(), 0);
-        inFlight_.clear();
-        arrivals_.clear();
-    }
+    void reset() override { sim::state::reset(*this); }
 
-    /** Checkpoint the run state; restore onto a reset() network. */
-    template <typename W>
+    /** Run state; configuration is rebuilt by the owner. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        for (const auto &q : inputQueues_)
-            snapSave(w, q);
-        for (const sim::NodeId p : rrPointer_)
-            w.u32(p);
-        snapSave(w, inFlight_);
-        arrivals_.save(w);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        for (auto &q : inputQueues_)
-            snapLoad(r, q);
-        for (sim::NodeId &p : rrPointer_)
-            p = r.u32();
-        snapLoad(r, inFlight_);
-        arrivals_.load(r);
+        Network<Payload>::visitState(v);
+        v(now_, sim::state::fixed(inputQueues_),
+          sim::state::fixed(rrPointer_), inFlight_, arrivals_);
     }
 
   private:

@@ -143,12 +143,30 @@ class GridNet : public Network<Payload>
         return occ;
     }
 
+    void reset() override { sim::state::reset(*this); }
+
+    /** Run state; configuration is rebuilt by the owner. */
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        Network<Payload>::visitState(v);
+        v(now_, sim::state::fixed(linkQueues_), transiting_, arrivals_);
+    }
+
   private:
     struct Transit
     {
         Packet<Payload> pkt;
         sim::NodeId nextNode = 0;
         sim::Cycle readyAt = 0;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(pkt, nextNode, readyAt);
+        }
     };
 
     // Directions: 0 = east, 1 = west, 2 = south, 3 = north.

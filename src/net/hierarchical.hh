@@ -184,93 +184,22 @@ class HierarchicalNet : public Network<Payload>
         return occ;
     }
 
-    void
-    reset() override
-    {
-        Network<Payload>::reset();
-        now_ = 0;
-        for (auto &q : clusterQueues_)
-            q.clear();
-        globalQueue_.clear();
-        busTransit_.clear();
-        arrivals_.clear();
-    }
+    void reset() override { sim::state::reset(*this); }
 
-    /** Checkpoint the run state; restore onto a reset() network.
-     *  Transit (with its private Leg enum) is encoded inline; the
-     *  bus-transit heap is dumped node-by-node in storage order so
-     *  its FIFO tie-breaks replay exactly. */
-    template <typename W>
+    /** Run state; configuration is rebuilt by the owner. The
+     *  bus-transit heap keeps its storage order, so its FIFO
+     *  tie-breaks replay exactly. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        auto putTransit = [&w](const Transit &t) {
-            snapSave(w, t.pkt);
-            w.u8(static_cast<std::uint8_t>(t.leg));
-            w.b(t.enteredDestBus);
-            w.u64(t.readyAt);
-        };
-        for (const auto &q : clusterQueues_) {
-            w.u64(q.size());
-            for (std::size_t i = 0; i < q.size(); ++i)
-                putTransit(q.at(i));
-        }
-        w.u64(globalQueue_.size());
-        for (std::size_t i = 0; i < globalQueue_.size(); ++i)
-            putTransit(globalQueue_.at(i));
-        w.u64(busTransit_.size());
-        busTransit_.forEachNode([&](sim::Cycle key, std::uint64_t seq,
-                                    const Transit &t) {
-            w.u64(key);
-            w.u64(seq);
-            putTransit(t);
-        });
-        w.u64(busTransit_.nextSeq());
-        arrivals_.save(w);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        auto getTransit = [&r]() {
-            Transit t;
-            snapLoad(r, t.pkt);
-            const std::uint8_t leg = r.u8();
-            if (leg > static_cast<std::uint8_t>(Leg::DestBus))
-                r.fail("bad hierarchical-net transit leg");
-            t.leg = static_cast<Leg>(leg);
-            t.enteredDestBus = r.b();
-            t.readyAt = r.u64();
-            return t;
-        };
-        for (auto &q : clusterQueues_) {
-            q.clear();
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i)
-                q.push_back(getTransit());
-        }
-        globalQueue_.clear();
-        const std::uint64_t ng = r.u64();
-        for (std::uint64_t i = 0; i < ng; ++i)
-            globalQueue_.push_back(getTransit());
-        busTransit_.clear();
-        const std::uint64_t nb = r.u64();
-        for (std::uint64_t i = 0; i < nb; ++i) {
-            const sim::Cycle key = r.u64();
-            const std::uint64_t seq = r.u64();
-            busTransit_.restoreNode(key, seq, getTransit());
-        }
-        busTransit_.setNextSeq(r.u64());
-        arrivals_.load(r);
+        Network<Payload>::visitState(v);
+        v(now_, sim::state::fixed(clusterQueues_), globalQueue_,
+          busTransit_, arrivals_);
     }
 
   private:
-    enum class Leg { SourceBus, GlobalBus, DestBus };
+    enum class Leg : std::uint8_t { SourceBus, GlobalBus, DestBus };
 
     struct Transit
     {
@@ -278,6 +207,16 @@ class HierarchicalNet : public Network<Payload>
         Leg leg = Leg::SourceBus;
         bool enteredDestBus = false;
         sim::Cycle readyAt = 0;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(pkt,
+              sim::state::bounded(leg, Leg::DestBus,
+                                  "bad hierarchical-net transit leg"),
+              enteredDestBus, readyAt);
+        }
     };
 
     sim::NodeId ports_;

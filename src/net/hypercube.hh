@@ -184,72 +184,16 @@ class Hypercube : public Network<Payload>
         return occ;
     }
 
-    void
-    reset() override
-    {
-        // Run state only: failed links, routing tables and the fault
-        // next-hop cache are configuration and survive the reset.
-        Network<Payload>::reset();
-        now_ = 0;
-        for (auto &q : linkQueues_)
-            q.clear();
-        transiting_.clear();
-        arrivals_.clear();
-    }
+    void reset() override { sim::state::reset(*this); }
 
-    /** Checkpoint the run state; restore onto a reset() network.
-     *  (Failed links, routing tables and the fault next-hop cache are
-     *  configuration, reconstructed by the owner — not serialized.)
-     *  InFlight is private, so its fields are encoded inline here
-     *  rather than through a free codec. */
-    template <typename W>
+    /** Run state. Failed links, routing tables and the fault next-hop
+     *  cache are configuration, rebuilt by the owner. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        auto putInFlight = [&w](const InFlight &f) {
-            snapSave(w, f.pkt);
-            w.u32(f.nextNode);
-            w.u64(f.readyAt);
-            w.u32(f.misroutes);
-        };
-        for (const auto &q : linkQueues_) {
-            w.u64(q.size());
-            for (std::size_t i = 0; i < q.size(); ++i)
-                putInFlight(q.at(i));
-        }
-        w.u64(transiting_.size());
-        for (const InFlight &f : transiting_)
-            putInFlight(f);
-        arrivals_.save(w);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        auto getInFlight = [&r]() {
-            InFlight f;
-            snapLoad(r, f.pkt);
-            f.nextNode = r.u32();
-            f.readyAt = r.u64();
-            f.misroutes = r.u32();
-            return f;
-        };
-        for (auto &q : linkQueues_) {
-            q.clear();
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i)
-                q.push_back(getInFlight());
-        }
-        transiting_.clear();
-        const std::uint64_t nt = r.u64();
-        for (std::uint64_t i = 0; i < nt; ++i)
-            transiting_.push_back(getInFlight());
-        arrivals_.load(r);
+        Network<Payload>::visitState(v);
+        v(now_, sim::state::fixed(linkQueues_), transiting_, arrivals_);
     }
 
   private:
@@ -259,6 +203,13 @@ class Hypercube : public Network<Payload>
         sim::NodeId nextNode = 0;
         sim::Cycle readyAt = 0;
         std::uint32_t misroutes = 0;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(pkt, nextNode, readyAt, misroutes);
+        }
     };
 
     std::size_t

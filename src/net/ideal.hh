@@ -36,8 +36,8 @@ class IdealNetwork : public Network<Payload>
      */
     IdealNetwork(sim::NodeId ports, sim::Cycle latency,
                  sim::Cycle jitter = 0, std::uint64_t seed = 1)
-        : ports_(ports), latency_(latency), jitter_(jitter),
-          seed_(seed), rng_(seed), arrivals_(ports)
+        : ports_(ports), latency_(latency), jitter_(jitter), rng_(seed),
+          arrivals_(ports)
     {
         SIM_ASSERT(ports > 0);
         SIM_ASSERT(latency >= 1);
@@ -109,50 +109,22 @@ class IdealNetwork : public Network<Payload>
         return occ;
     }
 
-    void
-    reset() override
-    {
-        Network<Payload>::reset();
-        now_ = 0;
-        inFlight_.clear();
-        arrivals_.clear();
-        rng_.reseed(seed_); // jitter stream replays from the start
-    }
+    void reset() override { sim::state::reset(*this); }
 
-    /** Checkpoint the run state (configuration is reconstructed by
-     *  the owner). Restore onto a freshly reset() network. */
-    template <typename W>
+    /** Run state; configuration is rebuilt by the owner. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        for (const std::uint64_t word : rng_.state())
-            w.u64(word);
-        snapSave(w, inFlight_);
-        arrivals_.save(w);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        std::array<std::uint64_t, 4> st;
-        for (auto &word : st)
-            word = r.u64();
-        rng_.setState(st);
-        snapLoad(r, inFlight_);
-        arrivals_.load(r);
+        Network<Payload>::visitState(v);
+        v(now_, rng_, inFlight_, arrivals_);
     }
 
   private:
     sim::NodeId ports_;
     sim::Cycle latency_;
     sim::Cycle jitter_;
-    std::uint64_t seed_;
-    sim::Rng rng_;
+    sim::Rng rng_; //!< jitter stream; reset replays it from the seed
     sim::Cycle now_ = 0;
     sim::EventHeap<Packet<Payload>> inFlight_;
     detail::ArrivalQueues<Payload> arrivals_;

@@ -29,6 +29,7 @@
 #include "common/fault.hh"
 #include "common/format.hh"
 #include "common/ringqueue.hh"
+#include "common/state.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -50,6 +51,13 @@ struct NetStats
     sim::Accumulator latency;   //!< cycles from send to arrival
     sim::Accumulator hops;      //!< switch hops traversed
     sim::Counter blockedCycles; //!< packet-cycles spent queued on links
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(sent, delivered, latency, hops, blockedCycles);
+    }
 };
 
 /**
@@ -76,31 +84,14 @@ struct Packet
     sim::Cycle issued = 0;  //!< cycle the packet entered the network
     std::uint32_t hops = 0; //!< switch traversals so far
     Payload payload{};
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(src, dst, issued, hops, payload);
+    }
 };
-
-/** Checkpoint codecs for a packet header + payload; the payload's own
- *  ADL `snapSave`/`snapLoad` overload is resolved at instantiation. */
-template <typename W, typename Payload>
-void
-snapSave(W &w, const Packet<Payload> &p)
-{
-    w.u32(p.src);
-    w.u32(p.dst);
-    w.u64(p.issued);
-    w.u32(p.hops);
-    snapSave(w, p.payload);
-}
-
-template <typename R, typename Payload>
-void
-snapLoad(R &r, Packet<Payload> &p)
-{
-    p.src = r.u32();
-    p.dst = r.u32();
-    p.issued = r.u64();
-    p.hops = r.u32();
-    snapLoad(r, p.payload);
-}
 
 /**
  * Interface shared by every topology model.
@@ -164,18 +155,24 @@ class Network
      * configuration (topology wiring, latency parameters, dead links,
      * attached tracer/fault injector) survives. The serving fast path
      * relies on this to reuse a machine's fabric across epochs instead
-     * of reconstructing it; overrides must leave the network
-     * bit-identical in behavior to a fresh instance.
+     * of reconstructing it. Every topology implements it as
+     * `sim::state::reset(*this)` over its visitState field list.
      */
-    virtual void
-    reset()
+    virtual void reset() = 0;
+
+    /**
+     * The run state shared by every topology: the traffic statistics
+     * and the fault-delayed packet heap. A topology's own visitState
+     * visits this first. Not virtual: the visitors are templates, and
+     * a virtual would force payload codecs to exist for every
+     * instantiated payload type, so a snapshot owner dispatches on the
+     * concrete topology instead.
+     */
+    template <class V>
+    void
+    visitState(V &v)
     {
-        stats_.sent.reset();
-        stats_.delivered.reset();
-        stats_.latency.reset();
-        stats_.hops.reset();
-        stats_.blockedCycles.reset();
-        faultDelayed_.clear();
+        v(stats_, faultDelayed_);
     }
 
     /** Enable `net` trace events. `pid` is the Chrome-trace process
@@ -195,38 +192,6 @@ class Network
     setFaultInjector(sim::fault::FaultInjector *faults)
     {
         faults_ = faults;
-    }
-
-    /**
-     * Checkpoint the state shared by every topology: the traffic
-     * statistics and the fault-delayed packet heap. Non-virtual
-     * template members (a virtual would force payload codecs to exist
-     * for every instantiated payload type); the machine dispatches to
-     * the concrete topology's saveState/loadState statically, which
-     * call these for the base slice.
-     */
-    template <typename W>
-    void
-    saveBase(W &w) const
-    {
-        snapSave(w, stats_.sent);
-        snapSave(w, stats_.delivered);
-        snapSave(w, stats_.latency);
-        snapSave(w, stats_.hops);
-        snapSave(w, stats_.blockedCycles);
-        snapSave(w, faultDelayed_);
-    }
-
-    template <typename R>
-    void
-    loadBase(R &r)
-    {
-        snapLoad(r, stats_.sent);
-        snapLoad(r, stats_.delivered);
-        snapLoad(r, stats_.latency);
-        snapLoad(r, stats_.hops);
-        snapLoad(r, stats_.blockedCycles);
-        snapLoad(r, faultDelayed_);
     }
 
   protected:
@@ -396,29 +361,12 @@ class ArrivalQueues
         return n;
     }
 
-    /** Drop every queued arrival, keeping per-port ring capacity. */
+    /** One FIFO per port, in port order. */
+    template <class V>
     void
-    clear()
+    visitState(V &v)
     {
-        for (auto &q : queues_)
-            q.clear();
-    }
-
-    /** Checkpoint every port's arrival FIFO, in port order. */
-    template <typename W>
-    void
-    save(W &w) const
-    {
-        for (const auto &q : queues_)
-            snapSave(w, q);
-    }
-
-    template <typename R>
-    void
-    load(R &r)
-    {
-        for (auto &q : queues_)
-            snapLoad(r, q);
+        v(sim::state::fixed(queues_));
     }
 
   private:

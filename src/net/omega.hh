@@ -179,48 +179,16 @@ class OmegaNet : public Network<Payload>
         return occ;
     }
 
-    void
-    reset() override
-    {
-        Network<Payload>::reset();
-        now_ = 0;
-        for (auto &stage : stageQueues_)
-            for (auto &q : stage)
-                q.clear();
-        for (auto &stage : rr_)
-            std::fill(stage.begin(), stage.end(), 0);
-        arrivals_.clear();
-    }
+    void reset() override { sim::state::reset(*this); }
 
-    /** Checkpoint the run state; restore onto a reset() network. */
-    template <typename W>
+    /** Run state; configuration is rebuilt by the owner. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        for (const auto &stage : stageQueues_)
-            for (const auto &q : stage)
-                snapSave(w, q);
-        for (const auto &stage : rr_)
-            for (const std::uint8_t v : stage)
-                w.u8(v);
-        arrivals_.save(w);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        for (auto &stage : stageQueues_)
-            for (auto &q : stage)
-                snapLoad(r, q);
-        for (auto &stage : rr_)
-            for (std::uint8_t &v : stage)
-                v = r.u8();
-        arrivals_.load(r);
+        Network<Payload>::visitState(v);
+        v(now_, sim::state::fixed(stageQueues_), sim::state::fixed(rr_),
+          arrivals_);
     }
 
   private:

@@ -64,6 +64,13 @@ struct RelStats
     sim::Counter rxDuplicates; //!< Data envelopes deduplicated at rx
     sim::Counter acksSent;
     sim::Counter staleAcks;    //!< ACKs for already-completed sends
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(retransmits, abandoned, rxDuplicates, acksSent, staleAcks);
+    }
 };
 
 /** The wire format: a payload plus the protocol header. */
@@ -78,35 +85,15 @@ struct Envelope
     std::uint64_t seq = 0;  //!< per-(src,dst)-stream sequence number
     sim::Cycle issued = 0;  //!< original logical send cycle
     Payload payload{};
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(sim::state::bounded(kind, Kind::Ack, "bad envelope kind"),
+          origin, target, seq, issued, payload);
+    }
 };
-
-/** Checkpoint codecs for envelopes riding an inner fabric. */
-template <typename W, typename Payload>
-void
-snapSave(W &w, const Envelope<Payload> &e)
-{
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u32(e.origin);
-    w.u32(e.target);
-    w.u64(e.seq);
-    w.u64(e.issued);
-    snapSave(w, e.payload);
-}
-
-template <typename R, typename Payload>
-void
-snapLoad(R &r, Envelope<Payload> &e)
-{
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(Envelope<Payload>::Kind::Ack))
-        r.fail("bad envelope kind");
-    e.kind = static_cast<typename Envelope<Payload>::Kind>(kind);
-    e.origin = r.u32();
-    e.target = r.u32();
-    e.seq = r.u64();
-    e.issued = r.u64();
-    snapLoad(r, e.payload);
-}
 
 /** Reliability decorator: at-most-once delivery with retransmission. */
 template <typename Payload>
@@ -282,21 +269,13 @@ class ReliableNet : public Network<Payload>
         inner_->setFaultInjector(faults);
     }
 
+    /** The protocol state and this decorator's own base slice, then
+     *  the wrapped fabric. */
     void
     reset() override
     {
-        Network<Payload>::reset();
+        sim::state::reset(*this);
         inner_->reset();
-        now_ = 0;
-        txSeq_.clear();
-        rxStreams_.clear();
-        pending_.clear();
-        timers_.clear();
-        relStats_.retransmits.reset();
-        relStats_.abandoned.reset();
-        relStats_.rxDuplicates.reset();
-        relStats_.acksSent.reset();
-        relStats_.staleAcks.reset();
     }
 
     const RelStats &relStats() const { return relStats_; }
@@ -305,114 +284,20 @@ class ReliableNet : public Network<Payload>
     /** Sends still awaiting acknowledgement (forensics hook). */
     std::size_t pendingCount() const { return pending_.size(); }
 
-    /** The wrapped fabric, for checkpointing: the owner knows the
-     *  concrete topology and dispatches its saveState statically. */
+    /** The wrapped fabric, for checkpointing: its run state is not in
+     *  visitState, so the owner, who knows the concrete topology,
+     *  visits it separately. */
     Network<Env> &inner() { return *inner_; }
-    const Network<Env> &inner() const { return *inner_; }
 
-    /** Checkpoint the protocol state — per-stream tx sequence
-     *  numbers, rx dedup windows, unacknowledged sends, retransmit
-     *  timers, counters — plus this decorator's own base slice. The
-     *  inner fabric is saved separately by the owner. */
-    template <typename W>
+    /** The protocol run state — per-stream tx sequence numbers, rx
+     *  dedup windows, unacknowledged sends, retransmit timers,
+     *  counters — plus this decorator's own base slice. */
+    template <class V>
     void
-    saveState(W &w) const
+    visitState(V &v)
     {
-        this->saveBase(w);
-        w.u64(now_);
-        w.u64(txSeq_.size());
-        for (const auto &[stream, seq] : txSeq_) {
-            w.u64(stream);
-            w.u64(seq);
-        }
-        w.u64(rxStreams_.size());
-        for (const auto &[stream, rx] : rxStreams_) {
-            w.u64(stream);
-            w.u64(rx.watermark);
-            w.u64(rx.seen.size());
-            for (const std::uint64_t s : rx.seen)
-                w.u64(s);
-        }
-        w.u64(pending_.size());
-        for (const auto &[key, p] : pending_) {
-            w.u32(key.src);
-            w.u32(key.dst);
-            w.u64(key.seq);
-            snapSave(w, p.payload);
-            w.u64(p.issued);
-            w.u64(p.deadline);
-            w.u32(p.attempts);
-        }
-        w.u64(timers_.size());
-        timers_.forEachNode([&](sim::Cycle key, std::uint64_t seq,
-                                const Key &k) {
-            w.u64(key);
-            w.u64(seq);
-            w.u32(k.src);
-            w.u32(k.dst);
-            w.u64(k.seq);
-        });
-        w.u64(timers_.nextSeq());
-        snapSave(w, relStats_.retransmits);
-        snapSave(w, relStats_.abandoned);
-        snapSave(w, relStats_.rxDuplicates);
-        snapSave(w, relStats_.acksSent);
-        snapSave(w, relStats_.staleAcks);
-    }
-
-    template <typename R>
-    void
-    loadState(R &r)
-    {
-        this->loadBase(r);
-        now_ = r.u64();
-        txSeq_.clear();
-        const std::uint64_t nt = r.u64();
-        for (std::uint64_t i = 0; i < nt; ++i) {
-            const std::uint64_t stream = r.u64();
-            txSeq_[stream] = r.u64();
-        }
-        rxStreams_.clear();
-        const std::uint64_t nr = r.u64();
-        for (std::uint64_t i = 0; i < nr; ++i) {
-            const std::uint64_t stream = r.u64();
-            RxStream &rx = rxStreams_[stream];
-            rx.watermark = r.u64();
-            const std::uint64_t ns = r.u64();
-            for (std::uint64_t k = 0; k < ns; ++k)
-                rx.seen.insert(r.u64());
-        }
-        pending_.clear();
-        const std::uint64_t np = r.u64();
-        for (std::uint64_t i = 0; i < np; ++i) {
-            Key key{};
-            key.src = r.u32();
-            key.dst = r.u32();
-            key.seq = r.u64();
-            PendingTx p;
-            snapLoad(r, p.payload);
-            p.issued = r.u64();
-            p.deadline = r.u64();
-            p.attempts = r.u32();
-            pending_.emplace(key, std::move(p));
-        }
-        timers_.clear();
-        const std::uint64_t nk = r.u64();
-        for (std::uint64_t i = 0; i < nk; ++i) {
-            const sim::Cycle at = r.u64();
-            const std::uint64_t seq = r.u64();
-            Key key{};
-            key.src = r.u32();
-            key.dst = r.u32();
-            key.seq = r.u64();
-            timers_.restoreNode(at, seq, key);
-        }
-        timers_.setNextSeq(r.u64());
-        snapLoad(r, relStats_.retransmits);
-        snapLoad(r, relStats_.abandoned);
-        snapLoad(r, relStats_.rxDuplicates);
-        snapLoad(r, relStats_.acksSent);
-        snapLoad(r, relStats_.staleAcks);
+        Network<Payload>::visitState(v);
+        v(now_, txSeq_, rxStreams_, pending_, timers_, relStats_);
     }
 
   private:
@@ -431,6 +316,13 @@ class ReliableNet : public Network<Payload>
                 return dst < o.dst;
             return seq < o.seq;
         }
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(src, dst, seq);
+        }
     };
 
     struct PendingTx
@@ -439,6 +331,13 @@ class ReliableNet : public Network<Payload>
         sim::Cycle issued = 0;
         sim::Cycle deadline = 0;
         std::uint32_t attempts = 0;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(payload, issued, deadline, attempts);
+        }
     };
 
     /** Delivered-at-most-once window: every seq below the watermark is
@@ -460,6 +359,13 @@ class ReliableNet : public Network<Payload>
                 ++watermark;
             }
             return true;
+        }
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(watermark, seen);
         }
     };
 

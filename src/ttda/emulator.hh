@@ -40,6 +40,13 @@ struct OutputRecord
 {
     graph::Tag tag;
     graph::Value value;
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(tag, value);
+    }
 };
 
 /** Untimed wave-based interpreter for tagged-token dataflow graphs. */

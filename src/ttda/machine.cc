@@ -1117,57 +1117,6 @@ Machine::run()
 }
 
 void
-Machine::reset()
-{
-    // Run state only. Everything resolved at construction — wiring,
-    // the ALU latency table, metrics series — survives, as do all the
-    // warmed allocations (hash-table
-    // capacity, ring buffers, structure chunks, the operand-slot
-    // pool): that reuse is the point of resetting over reconstructing.
-    for (auto &pe_ptr : pes_) {
-        Pe &pe = *pe_ptr;
-        pe.inQ.clear();
-        pe.waitStore.clear();
-        pe.matchBusy = 0;
-        pe.fetchQ.clear();
-        pe.aluBusy = 0;
-        pe.outQ.clear();
-        pe.isQ.clear();
-        pe.isBusy = 0;
-        pe.isStore.reset();
-        pe.stats = PeStats{};
-    }
-    exec_.resetFired();
-    activeItems_ = 0;
-    busyStages_ = 0;
-    wmEntries_ = 0;
-    fireBuf_.clear();
-    contexts_.reset();
-    if (faults_)
-        faults_->reset();
-    net_->reset();
-    outputs_.clear();
-    allocPtr_ = 0;
-    now_ = 0;
-    deadlocked_ = false;
-    wmResidency_.reset();
-    birthToFire_.reset();
-    readLatency_.reset();
-    tokenSeq_ = 0;
-    if (!profile_.empty())
-        profile_.resize(program_.totalInstructions());
-    requests_.clear();
-    nextAdmit_ = 0;
-    reqCompleted_ = 0;
-    watermarkHits_ = 0;
-    admitBlocked_ = false;
-    serving_ = false;
-    reqLatency_.reset();
-    stopAt_ = sim::neverCycle;
-    paused_ = false;
-}
-
-void
 Machine::setFaultPlan(const sim::fault::FaultPlan &plan)
 {
     cfg_.faults = plan;

@@ -201,6 +201,15 @@ struct PeStats
                                       //!< structure cell absorbed
                                       //!< idempotently (faults only)
     std::uint64_t waitStorePeak = 0; //!< peak waiting-matching entries
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(tokensIn, fired, matchBusyCycles, aluBusyCycles, isBusyCycles,
+          outputTokens, bypassTokens, matchOverflows, dupTokensDropped,
+          dupStoresSuppressed, waitStorePeak);
+    }
 };
 
 /** The multi-PE cycle-level machine. */
@@ -272,11 +281,12 @@ class Machine
     // ---- checkpoint / restore --------------------------------------
 
     /**
-     * Serialize the complete run state — every field reset() clears:
-     * pipeline queues, waiting-matching stores, structure storage,
-     * contexts, network (including ReliableNet protocol state), fault
-     * -injector RNG, statistics, histograms, serving queue — into the
-     * versioned snapshot envelope (common/snapshot.hh). Call only
+     * Serialize the complete run state — every field in visitState,
+     * which is exactly what reset() clears: pipeline queues,
+     * waiting-matching stores, structure storage, contexts, network
+     * (including ReliableNet protocol state), fault-injector RNG,
+     * statistics, histograms, serving queue — into the versioned
+     * snapshot envelope (common/snapshot.hh). Call only
      * while the machine is quiescent or paused (runUntil/serveUntil);
      * never mid-run. Restore-then-run is bit-identical to the
      * uninterrupted run.
@@ -304,6 +314,17 @@ class Machine
      *  MetricsRecorder, if any, is not rewound — reuse across resets
      *  needs a fresh recorder per run. */
     void reset();
+
+    /**
+     * The run-state field list from which reset(), saveSnapshot() and
+     * restoreSnapshot() are derived (common/state.hh). Defined, and
+     * instantiated, in ttda/snapshot.cc. Left out, deliberately: the
+     * configuration, the occupancy counters the run loop maintains
+     * incrementally (recountOccupancy() rebuilds them), scratch
+     * buffers, and the pause bookkeeping.
+     */
+    template <class V>
+    void visitState(V &v);
 
     /**
      * Replace the fault plan between runs (fleet replicas: each job
@@ -415,6 +436,13 @@ class Machine
         std::uint64_t filled = 0; //!< bitmask of ports already arrived
         std::uint8_t arrived = 0;
         std::uint8_t expected = 0;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(filled, arrived, expected, slots);
+        }
     };
 
     struct ReadyOp
@@ -422,6 +450,13 @@ class Machine
         graph::EnabledInstruction enabled;
         sim::Cycle readyAt = 0;
         std::uint32_t born = 0; //!< birth of the enabling (last) token
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(enabled, readyAt, born);
+        }
     };
 
     /** One queued serving request: a root application injected into
@@ -433,6 +468,13 @@ class Machine
         std::vector<graph::Value> args; //!< moved out on injection
         sim::Cycle arrival = 0;
         bool done = false; //!< first OUTPUT seen; latency recorded
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(cb, args, arrival, done);
+        }
     };
 
     struct Pe
@@ -454,6 +496,14 @@ class Machine
         sim::Cycle isBusy = 0;
         mem::IStructure<graph::IsCont, graph::Value> isStore;
         PeStats stats;
+
+        template <class V>
+        void
+        visitState(V &v)
+        {
+            v(inQ, waitStore, matchBusy, fetchQ, aluBusy, outQ, isQ, isBusy,
+              isStore, stats);
+        }
     };
 
     sim::NodeId mapTag(const graph::Tag &tag) const;
@@ -525,6 +575,10 @@ class Machine
     void applyAllocAppend(Pe &pe, sim::NodeId id, graph::Token tok);
 
     bool idle() const;
+
+    /** Rebuild activeItems_, busyStages_ and wmEntries_ from the
+     *  queues and stores they summarize (after a reset or restore). */
+    void recountOccupancy();
 
     // ---- steady-state serving --------------------------------------
     // All four run at the top of the run-loop iteration or, for

@@ -285,6 +285,23 @@ TEST(Grid, TorusWrapsShortestDirection)
     EXPECT_EQ(nw.stats().hops.max(), 1.0);
 }
 
+TEST(Grid, ResetReturnsToFreshState)
+{
+    net::GridNet<Payload> fresh(4);
+    net::GridNet<Payload> used(4);
+    for (Payload i = 0; i < 16; ++i)
+        used.send(0, 10, i); // all contend for node 0's east link
+    used.step(0);
+    used.step(1);
+    ASSERT_FALSE(used.idle());
+    used.reset();
+    EXPECT_TRUE(used.idle());
+    EXPECT_EQ(used.occupancy().queued, fresh.occupancy().queued);
+    EXPECT_EQ(used.occupancy().inFlight, fresh.occupancy().inFlight);
+    EXPECT_EQ(used.nextDelivery(), fresh.nextDelivery());
+    EXPECT_EQ(used.stats().sent.value(), 0u);
+}
+
 /** Property sweep: every topology delivers a random workload exactly
  *  once, regardless of contention. */
 class TopologyProperty : public ::testing::TestWithParam<int>
@@ -329,6 +346,43 @@ TEST_P(TopologyProperty, RandomTrafficDeliveredExactlyOnce)
         EXPECT_EQ(count, 1) << "payload " << v;
     EXPECT_EQ(nw->stats().sent.value(), 500u);
     EXPECT_EQ(nw->stats().delivered.value(), 500u);
+}
+
+TEST_P(TopologyProperty, ResetMatchesFreshNetwork)
+{
+    // Interrupt random traffic mid-flight, reset, and replay it: the
+    // reset network must be idle at once and then deliver exactly what
+    // a fresh network delivers, with the same statistics.
+    auto traffic = [](net::Network<Payload> &nw, std::uint64_t seed) {
+        sim::Rng rng(seed);
+        for (Payload i = 0; i < 200; ++i) {
+            nw.send(static_cast<sim::NodeId>(rng.below(nw.numPorts())),
+                    static_cast<sim::NodeId>(rng.below(nw.numPorts())),
+                    i);
+        }
+    };
+    auto used = make(GetParam());
+    traffic(*used, 5);
+    for (sim::Cycle c = 0; c < 6; ++c) {
+        used->step(c);
+        used->receive(0);
+    }
+    ASSERT_FALSE(used->idle());
+    used->reset();
+    EXPECT_TRUE(used->idle());
+    EXPECT_EQ(used->occupancy().queued, 0u);
+    EXPECT_EQ(used->occupancy().inFlight, 0u);
+    EXPECT_EQ(used->nextDelivery(), sim::neverCycle);
+    EXPECT_EQ(used->stats().sent.value(), 0u);
+    EXPECT_EQ(used->stats().blockedCycles.value(), 0u);
+
+    auto fresh = make(GetParam());
+    traffic(*fresh, 9);
+    traffic(*used, 9);
+    EXPECT_EQ(drain(*used), drain(*fresh));
+    EXPECT_EQ(used->stats().latency.sum(), fresh->stats().latency.sum());
+    EXPECT_EQ(used->stats().blockedCycles.value(),
+              fresh->stats().blockedCycles.value());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyProperty,

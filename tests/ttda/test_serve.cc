@@ -14,9 +14,10 @@
 #include <gtest/gtest.h>
 
 #include "ttda/machine.hh"
-#include "topology_matrix.hh"
 #include "workloads/arrivals.hh"
 #include "workloads/dfg_programs.hh"
+
+#include "topology_matrix.hh"
 
 namespace
 {
@@ -456,7 +457,6 @@ TEST_P(ServeMatrix, ResetThenServeMatchesFreshMachine)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, ServeMatrix,
-                         ::testing::ValuesIn(matrix::allCases()),
-                         matrix::caseName);
+                         ::testing::ValuesIn(matrix::allCases()));
 
 } // namespace

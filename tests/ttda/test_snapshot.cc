@@ -20,9 +20,10 @@
 #include "common/random.hh"
 #include "common/snapshot.hh"
 #include "ttda/machine.hh"
-#include "topology_matrix.hh"
 #include "workloads/arrivals.hh"
 #include "workloads/dfg_programs.hh"
+
+#include "topology_matrix.hh"
 
 namespace
 {
@@ -370,8 +371,7 @@ TEST_P(SnapshotMatrix, ResetMachineSnapshotEqualsFreshMachine)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, SnapshotMatrix,
-                         ::testing::ValuesIn(matrix::allCases()),
-                         matrix::caseName);
+                         ::testing::ValuesIn(matrix::allCases()));
 
 // ---- seeded fuzz of the snapshot payload ---------------------------
 
@@ -429,6 +429,12 @@ struct FuzzExpect
     int rejected;
 };
 
+void
+PrintTo(const FuzzExpect &e, std::ostream *os)
+{
+    *os << matrix::topologyName(e.topology);
+}
+
 class SnapshotFuzz : public ::testing::TestWithParam<FuzzExpect>
 {
 };
@@ -482,9 +488,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzExpect{matrix::Topology::Crossbar, 259, 141},
                       FuzzExpect{matrix::Topology::Hypercube, 238, 162},
                       FuzzExpect{matrix::Topology::Omega, 245, 155},
-                      FuzzExpect{matrix::Topology::Hierarchical, 248, 152}),
-    [](const ::testing::TestParamInfo<FuzzExpect> &info) {
-        return matrix::topologyName(info.param.topology);
-    });
+                      FuzzExpect{matrix::Topology::Hierarchical, 248, 152}));
 
 } // namespace

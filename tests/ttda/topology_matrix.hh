@@ -11,10 +11,9 @@
 #define TTDA_TESTS_TTDA_TOPOLOGY_MATRIX_HH
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
-
-#include <gtest/gtest.h>
 
 #include "ttda/machine.hh"
 #include "workloads/arrivals.hh"
@@ -75,11 +74,12 @@ allCases()
     return out;
 }
 
-inline std::string
-caseName(const ::testing::TestParamInfo<Case> &info)
+/** gtest prints parameters into the ctest names: keep them readable
+ *  (and free of struct padding bytes). */
+inline void
+PrintTo(const Case &c, std::ostream *os)
 {
-    return topologyName(info.param.topology) +
-           (info.param.lossy ? "Lossy" : "Bare");
+    *os << topologyName(c.topology) << (c.lossy ? "Lossy" : "Bare");
 }
 
 /** Queue `n` fib requests (fib(4)..fib(8), cycling) on a seeded
