@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "common/state.hh"
 #include "common/types.hh"
 
 namespace sim
@@ -196,15 +195,11 @@ class FaultInjector
     const FaultPlan &plan() const { return plan_; }
     const Stats &stats() const { return stats_; }
 
-    /** Rewind to the injector's initial state — reseed the
-     *  probabilistic stream and zero the totals — so a reused machine
-     *  replays the exact same fault sequence as a fresh one. */
-    void reset() { sim::state::reset(*this); }
-
     /** Run state: the probabilistic stream mid-sequence and the
      *  totals, so a restored machine replays the remainder of the
-     *  fault sequence exactly. The plan and its event tables are
-     *  configuration. */
+     *  fault sequence exactly, and a reset one (stream rewound to the
+     *  plan's seed, totals zeroed) replays the whole sequence. The
+     *  plan and its event tables are configuration. */
     template <class V>
     void
     visitState(V &v)

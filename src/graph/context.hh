@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/state.hh"
 #include "common/stats.hh"
 #include "graph/program.hh"
 #include "graph/tag.hh"
@@ -100,12 +99,10 @@ class ContextManager
      */
     std::uint32_t rootIter(ContextId id) const;
 
-    /** Drop everything except the root context (between runs). */
-    void reset() { sim::state::reset(*this); }
-
-    /** The whole table. Hash-map iteration order is rebuilt on load,
-     *  not preserved — nothing behavioural reads it (lookups are by
-     *  key; only forensics iterate). */
+    /** The whole table; a reset drops everything except the root
+     *  context. Hash-map iteration order is rebuilt on load, not
+     *  preserved — nothing behavioural reads it (lookups are by key;
+     *  only forensics iterate). */
     template <class V>
     void
     visitState(V &v)

@@ -181,15 +181,6 @@ class IStructure
         }
     }
 
-    /**
-     * Return the whole storage to its just-constructed state while
-     * keeping every materialized chunk (and each cell's deferred-list
-     * capacity) alive. The serving fast path resets a machine between
-     * epochs; re-deallocating and re-materializing the chunks was
-     * exactly the construction cost chunking removed.
-     */
-    void reset() { sim::state::reset(*this); }
-
     /** Number of reads currently parked on deferred lists. */
     std::size_t
     outstandingReads() const
@@ -320,7 +311,10 @@ class IStructure
         }
 
         /** Every cell back to Empty, keeping the materialized chunks
-         *  and each cell's deferred-list capacity. */
+         *  and each cell's deferred-list capacity: the serving fast
+         *  path resets a machine between epochs, and re-materializing
+         *  the chunks was exactly the construction cost chunking
+         *  removed. */
         void
         reset()
         {
