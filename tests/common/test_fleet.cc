@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +162,45 @@ TEST(Fleet, ExceptionsPropagate)
                                    throw std::runtime_error("job 3");
                            }),
                  std::runtime_error);
+}
+
+TEST(Fleet, LowestJobIndexExceptionWins)
+{
+    // Jobs 1 and 2 both throw: job 1's error surfaces whichever
+    // workers happened to run them.
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        sim::Fleet fleet(sim::Fleet::Config{workers});
+        try {
+            fleet.run(8, [](unsigned, std::size_t j) {
+                if (j == 1 || j == 2)
+                    throw std::runtime_error("job " + std::to_string(j));
+            });
+            ADD_FAILURE() << "run() should have rethrown at " << workers
+                          << " workers";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 1") << workers << " workers";
+        }
+    }
+}
+
+TEST(Fleet, EveryJobRunsWhenOneThrows)
+{
+    // A throwing job fails the batch, not the jobs queued behind it.
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        sim::Fleet fleet(sim::Fleet::Config{workers});
+        constexpr std::size_t kJobs = 8;
+        std::vector<std::atomic<int>> ran(kJobs);
+        EXPECT_THROW(fleet.run(kJobs,
+                               [&](unsigned, std::size_t j) {
+                                   ran[j].fetch_add(1);
+                                   if (j == 3)
+                                       throw std::runtime_error("job 3");
+                               }),
+                     std::runtime_error);
+        for (std::size_t j = 0; j < kJobs; ++j)
+            EXPECT_EQ(ran[j].load(), 1) << "job " << j << " at "
+                                        << workers << " workers";
+    }
 }
 
 TEST(DeriveJobSeed, DependsOnJobIdNotCaller)
