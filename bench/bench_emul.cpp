@@ -194,8 +194,8 @@ main(int argc, char **argv)
 
         // ---- fleet of lane-VM contexts -------------------------
         // K independent lane-batched jobs over ONE shared const
-        // CompiledProgram, pulled by W workers from the fleet's job
-        // queue. Every job's outputs are checked against the
+        // CompiledProgram, claimed by W workers from the fleet's one
+        // job cursor. Every job's outputs are checked against the
         // interpreter (bit-identity), and firing counts must match
         // the W=1 run. speedup here is host-time *scaling* vs the
         // 1-worker fleet — informational, ~1.0 on a 1-CPU host —

@@ -432,8 +432,8 @@ main(int argc, char **argv)
     }
 
     // ---- fleet: job-level scale-out across warm replicas -----------
-    // M concurrent epochs (closed loop: all queued up front) pulled
-    // by W workers from the sharded job queue. Per-job results are
+    // M concurrent epochs (closed loop: all queued up front) claimed
+    // by W workers from the fleet's one job cursor. Per-job results are
     // bit-identical for every W — asserted against the W=1 run — so
     // the only thing the worker count may change is hostMs. jobs/sec
     // and the scaling ratio are host-time facts: informational, and
@@ -499,7 +499,7 @@ main(int argc, char **argv)
                                        ? row.jobsPerSec / w1JobsPerSec
                                        : 0.0;
                 // The tentpole contract: worker count, replica
-                // assignment, and steal order must not reach results.
+                // assignment, and claim order must not reach results.
                 for (std::size_t j = 0; j < ref.size(); ++j) {
                     const auto &a = ref[j];
                     const auto &b = results[j];

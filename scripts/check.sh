@@ -138,15 +138,14 @@ assert any(r.get("faulted") for r in runs), "no brownout row"
 EOF
 
 # --- Fleet smoke ---------------------------------------------------
-# 8. The deterministic fleet under the sanitizers: job-queue /
-#    completion-ring unit suites, the WorkerPool suites,
-#    and the warm-replica fleets at workers {1,2,4} with their
-#    bit-identity asserts (worker-count independence, fleet ==
+# 8. The deterministic fleet under the sanitizers: sim::Fleet's runner
+#    suite (exactly-once, reuse, failure order, idle parking,
+#    shutdown) and the warm-replica fleets at workers {1,2,4} with
+#    their bit-identity asserts (worker-count independence, fleet ==
 #    single machine, replica reuse == pristine fleet). Warm replicas
 #    recycle served-on machines across jobs — the reuse path most at
 #    risk of a stale pointer, so it runs with ASan watching.
 "$BUILD_DIR/tests/test_fleet" > /dev/null
-"$BUILD_DIR/tests/test_common" --gtest_filter='WorkerPool*' > /dev/null
 
 # --- Daemon smoke --------------------------------------------------
 # 9. Simulation-as-a-service under the sanitizers: start ttda_simd,
@@ -234,10 +233,10 @@ EOF
 # 10. The concurrent code under ThreadSanitizer, in a tree of its own
 #     (TSan cannot share a build with ASan): the daemon suite (worker
 #     threads, the network loop and the job table they share, stop /
-#     restore / signal paths; repeated, since a race shows only when
-#     the threads interleave badly), the fleet suites (sim::Fleet's
-#     pool, JobQueue and CompletionRing, warm-replica fleets) and the
-#     WorkerPool suites. TSan exits nonzero on any report.
+#     restore / signal paths) and the fleet suites (sim::Fleet's
+#     runner, warm-replica fleets), each repeated, since a race shows
+#     only when the threads interleave badly. TSan exits nonzero on
+#     any report.
 TSAN_DIR="build-tsan"
 TSAN_FLAGS="-fsanitize=thread -g"
 cmake -B "$TSAN_DIR" -S . \
@@ -245,10 +244,9 @@ cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-    --target test_daemon --target test_fleet --target test_common
+    --target test_daemon --target test_fleet
 "$TSAN_DIR/tests/test_daemon" --gtest_repeat=3 > /dev/null
-"$TSAN_DIR/tests/test_fleet" > /dev/null
-"$TSAN_DIR/tests/test_common" --gtest_filter='WorkerPool*' > /dev/null
+"$TSAN_DIR/tests/test_fleet" --gtest_repeat=3 > /dev/null
 
 # --- Optional throughput guard -------------------------------------
 # CHECK=1 also runs the bench_core regression guard (a separate

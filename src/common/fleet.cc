@@ -1,84 +1,107 @@
 #include "common/fleet.hh"
 
-#include "common/logging.hh"
+#include <algorithm>
 
 namespace sim
 {
 
-JobQueue::JobQueue(std::size_t jobs, std::size_t shards)
-    : jobs_(jobs)
+Fleet::Fleet(Config cfg) : workers_(std::max(1u, cfg.workers))
 {
-    std::size_t s = shards == 0 ? 1 : shards;
-    if (jobs_ > 0 && s > jobs_)
-        s = jobs_;
-    if (s < 1)
-        s = 1;
-    shards_ = std::vector<Lane>(s);
-    // Lane l owns jobs l, l+s, l+2s, ...: ceil((jobs - l) / s) of them.
-    for (std::size_t l = 0; l < s; ++l)
-        shards_[l].count = jobs_ > l ? (jobs_ - l + s - 1) / s : 0;
-}
-
-std::optional<std::size_t>
-JobQueue::pop(unsigned worker)
-{
-    const std::size_t s = shards_.size();
-    const std::size_t home = worker % s;
-    for (std::size_t probe = 0; probe < s; ++probe) {
-        const std::size_t lane = (home + probe) % s;
-        Lane &ln = shards_[lane];
-        // Cheap dry check before touching the cursor: keeps the steal
-        // scan from bumping every lane's counter on each empty pass.
-        if (ln.cursor.load(std::memory_order_relaxed) >= ln.count)
-            continue;
-        const std::size_t pos =
-            ln.cursor.fetch_add(1, std::memory_order_relaxed);
-        if (pos >= ln.count)
-            continue; // lost the race; lane went dry under us
-        if (probe != 0)
-            steals_.fetch_add(1, std::memory_order_relaxed);
-        return lane + pos * s;
+    threads_.reserve(workers_ - 1);
+    try {
+        for (unsigned w = 1; w < workers_; ++w)
+            threads_.emplace_back([this, w] { workerLoop(w); });
+    } catch (...) {
+        stop(); // join the threads already started
+        throw;
     }
-    return std::nullopt;
 }
 
-CompletionRing::CompletionRing(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity)
-{
-}
+Fleet::~Fleet() { stop(); }
 
 void
-CompletionRing::push(std::uint32_t job, std::uint32_t worker)
+Fleet::stop()
 {
-    const std::size_t slot =
-        tail_.fetch_add(1, std::memory_order_acq_rel);
-    SIM_ASSERT_MSG(slot < ring_.size(),
-                   "completion ring overflow: slot {} capacity {}",
-                   slot, ring_.size());
-    ring_[slot] = Entry{job, worker};
+    stop_ = true;
+    publish();
+    for (std::thread &t : threads_)
+        t.join();
 }
 
-Fleet::Fleet(Config cfg) : pool_(cfg.workers < 1 ? 1 : cfg.workers) {}
-
+template <class Ready>
 void
-Fleet::run(std::size_t numJobs,
-           const std::function<void(unsigned, std::size_t)> &runJob)
+Fleet::await(Ready ready)
 {
-    queue_ = std::make_unique<JobQueue>(numJobs, pool_.size());
-    ring_ = std::make_unique<CompletionRing>(numJobs);
-    jobsPerWorker_.assign(pool_.size(), 0);
-
-    pool_.run([&](unsigned worker) {
-        std::uint64_t ran = 0;
-        while (auto job = queue_->pop(worker)) {
-            runJob(worker, *job);
-            ring_->push(static_cast<std::uint32_t>(*job), worker);
-            ++ran;
+    const auto parkAt = std::chrono::steady_clock::now() + kSpinWindow;
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() >= parkAt) {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, ready);
+            return;
         }
-        // Per-worker slot: no synchronization needed beyond the
-        // pool's end-of-run barrier.
-        jobsPerWorker_[worker] = ran;
-    });
+        std::this_thread::yield();
+    }
+}
+
+void
+Fleet::publish()
+{
+    const std::lock_guard<std::mutex> lk(mu_);
+    batch_.fetch_add(1, std::memory_order_release);
+    cv_.notify_all();
+}
+
+void
+Fleet::drain(unsigned worker)
+{
+    std::uint64_t ran = 0;
+    for (;;) {
+        const std::size_t j =
+            cursor_.fetch_add(1, std::memory_order_relaxed);
+        if (j >= numJobs_)
+            break;
+        try {
+            (*job_)(worker, j);
+        } catch (...) {
+            errors_[j] = std::current_exception();
+        }
+        ++ran;
+    }
+    jobsPerWorker_[worker] = ran;
+}
+
+void
+Fleet::workerLoop(unsigned worker)
+{
+    for (std::uint64_t seen = 0;; ++seen) {
+        await([&] { return batch_.load(std::memory_order_acquire) != seen; });
+        if (stop_)
+            return;
+        drain(worker);
+        const std::lock_guard<std::mutex> lk(mu_);
+        if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            cv_.notify_all();
+    }
+}
+
+void
+Fleet::run(std::size_t numJobs, const Job &runJob)
+{
+    job_ = &runJob;
+    numJobs_ = numJobs;
+    errors_.assign(numJobs, nullptr);
+    jobsPerWorker_.assign(workers_, 0);
+    cursor_.store(0, std::memory_order_relaxed);
+    busy_.store(workers_ - 1, std::memory_order_relaxed);
+    publish();
+
+    drain(0);
+    await([&] { return busy_.load(std::memory_order_acquire) == 0; });
+    job_ = nullptr;
+
+    for (const std::exception_ptr &e : errors_)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 } // namespace sim

@@ -9,19 +9,15 @@
  * cross-job synchronization at all, the replica-pool shape inference
  * serving stacks use.
  *
- * sim::Fleet runs K jobs across W workers:
- *
- *  - a sharded MPMC job queue hands out job indices: jobs are dealt
- *    round-robin across shards, each worker drains its home shard
- *    through an atomic cursor, and an empty-handed worker *steals*
- *    from the other shards in a deterministic scan order — the
- *    scalable-synchronization recipe (distribute the hot counter,
- *    contend only when idle) rather than one global ticket lock;
- *  - a lock-free completion ring records (job, worker) completion
- *    order for observability — host-order data stays out of every
- *    deterministic result by construction;
- *  - the existing WorkerPool supplies the threads: one run() call
- *    per batch, each shard looping jobs until the queue is dry.
+ * sim::Fleet runs K jobs across W workers: the caller is worker 0
+ * and W-1 threads persist across batches. A batch is one shared
+ * cursor; every worker claims its next job with a fetch-and-add (the
+ * Ultracomputer's queue) until the cursor passes the job count. Jobs
+ * last milliseconds, so a counter touched once per job never
+ * contends: lanes and stealing would buy nothing. A worker waiting
+ * for the next batch, and the caller waiting for the batch to end,
+ * yield for at most kSpinWindow and then park on a condition
+ * variable, so an idle fleet costs no CPU.
  *
  * Determinism contract
  * --------------------
@@ -33,9 +29,11 @@
  *     from the job id via deriveJobSeed, never from the worker id or
  *     a shared stream;
  *  2. workers write results only into per-job slots (index = job id),
- *     so aggregation happens after the barrier, in job-index order;
- *  3. anything inherently host-ordered (the completion ring, steal
- *     counts, wall times) is segregated as informational.
+ *     so aggregation happens after the batch, in job-index order —
+ *     failures too: every job runs, and run() rethrows the error of
+ *     the lowest job index;
+ *  3. anything inherently host-ordered (per-worker job tallies, wall
+ *     times) is segregated as informational.
  *
  * serve::TtdaFleet (src/serve) layers warm machine replicas on top.
  */
@@ -44,20 +42,21 @@
 #define TTDA_COMMON_FLEET_HH
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
-#include <optional>
+#include <mutex>
+#include <thread>
 #include <vector>
-
-#include "common/parallel.hh"
 
 namespace sim
 {
 
 /** SplitMix64-mix a base seed with a job index: the per-job seed for
  *  fault plans, arrival schedules, and workload randomness. Never
- *  derive per-worker — that would tie results to the steal order. */
+ *  derive per-worker — that would tie results to the claim order. */
 inline std::uint64_t
 deriveJobSeed(std::uint64_t base, std::uint64_t job)
 {
@@ -67,122 +66,38 @@ deriveJobSeed(std::uint64_t base, std::uint64_t job)
     return z ^ (z >> 31);
 }
 
-/**
- * Sharded MPMC queue of job indices [0, jobs) with work stealing.
- *
- * Jobs are dealt round-robin across `shards` lanes; each lane is an
- * implicit arithmetic sequence consumed through one atomic cursor, so
- * pop() is a fetch_add — no locks, no per-job storage. A worker
- * drains its home lane first (cursor contention 1/shards of a single
- * shared counter), then scans the other lanes for leftovers. The
- * cursors over-advance benignly: a failed claim on a dry lane costs
- * one increment, bounded by the number of poppers.
- */
-class JobQueue
-{
-  public:
-    /** @param jobs   total job count (indices 0..jobs-1)
-     *  @param shards lane count, clamped to [1, jobs] (0 picks one
-     *                lane per expected worker — pass the worker
-     *                count). */
-    JobQueue(std::size_t jobs, std::size_t shards);
-
-    std::size_t jobs() const { return jobs_; }
-    std::size_t shards() const { return shards_.size(); }
-
-    /**
-     * Claim the next job for `worker`: its home lane first, then the
-     * other lanes in cyclic scan order. Returns std::nullopt when
-     * every lane is dry. Thread-safe; each job index is returned
-     * exactly once.
-     */
-    std::optional<std::size_t> pop(unsigned worker);
-
-    /** Jobs claimed from a non-home lane (informational: proves the
-     *  stealing path ran; never feeds a deterministic result). */
-    std::uint64_t steals() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    /** One lane: jobs shard, shard+S, shard+2S, ... consumed through
-     *  an atomic position. Padded to its own cache line so cursor
-     *  traffic never false-shares across lanes. */
-    struct alignas(64) Lane
-    {
-        std::atomic<std::size_t> cursor{0};
-        std::size_t count = 0; //!< jobs dealt into this lane
-    };
-
-    std::size_t jobs_;
-    std::vector<Lane> shards_;
-    std::atomic<std::uint64_t> steals_{0};
-};
-
-/**
- * Lock-free MPMC ring recording job completions in host order.
- * Capacity is fixed at construction (the fleet sizes it to the job
- * count, so pushes never wrap). Drained single-threaded after the
- * pool barrier.
- */
-class CompletionRing
-{
-  public:
-    struct Entry
-    {
-        std::uint32_t job = 0;
-        std::uint32_t worker = 0;
-    };
-
-    explicit CompletionRing(std::size_t capacity);
-
-    /** Record one completion. Lock-free: a fetch_add claims a slot.
-     *  Asserts the ring was sized for every push (the fleet's ring
-     *  is). */
-    void push(std::uint32_t job, std::uint32_t worker);
-
-    /** Completions recorded so far. Exact only after all pushers have
-     *  passed a barrier (the fleet reads it after WorkerPool::run). */
-    std::size_t size() const
-    {
-        return tail_.load(std::memory_order_acquire);
-    }
-
-    /** Entry i in completion (host) order. Valid for i < size() after
-     *  the barrier. */
-    const Entry &operator[](std::size_t i) const { return ring_[i]; }
-
-    void clear() { tail_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::vector<Entry> ring_;
-    std::atomic<std::size_t> tail_{0};
-};
-
-/**
- * The fleet engine: a persistent WorkerPool draining a JobQueue.
- *
- * One Fleet is built per worker count and reused across batches (the
- * pool's threads persist between batches). Each
- * run() deals the batch across the queue lanes, runs every worker's
- * pull loop to quiescence, and leaves the completion ring and steal
- * count readable until the next run().
- */
+/** The fleet engine. One Fleet is built per worker count and reused
+ *  across batches; its threads persist between them. */
 class Fleet
 {
   public:
     struct Config
     {
         /** Worker count, including the calling thread (it runs jobs
-         *  too, as worker 0). Clamped below by 1. The job queue gets
-         *  one lane per worker. */
+         *  too, as worker 0). Clamped below by 1. */
         unsigned workers = 1;
     };
 
-    explicit Fleet(Config cfg);
+    using Job = std::function<void(unsigned worker, std::size_t job)>;
 
-    unsigned workers() const { return pool_.size(); }
+    /**
+     * How long a waiting thread yields before it parks: about the p99
+     * of a whole batch in the perfbench fleet workloads (11 ms for
+     * fleet_lossy, 20 ms for emul_fleet), so a busy fleet almost never
+     * parks inside or between batches, and an idle one parks this
+     * long after its last batch. Parking at once or after 1 ms cost
+     * those workloads 2–11% throughput (EXPERIMENTS.md, "One job
+     * runner").
+     */
+    static constexpr std::chrono::milliseconds kSpinWindow{20};
+
+    explicit Fleet(Config cfg);
+    ~Fleet();
+
+    Fleet(const Fleet &) = delete;
+    Fleet &operator=(const Fleet &) = delete;
+
+    unsigned workers() const { return workers_; }
 
     /**
      * Run jobs 0..numJobs-1 to completion across the workers.
@@ -190,22 +105,14 @@ class Fleet
      * unspecified worker and in an unspecified order; it must write
      * its result into storage indexed by `job` and touch no state
      * another job reads (machine replicas are per-worker, results
-     * per-job). Exceptions thrown by a job propagate out of run()
-     * (lowest-indexed throwing worker wins, per WorkerPool).
+     * per-job). A throwing job does not stop the others; once all
+     * have run, the exception of the lowest throwing job index
+     * propagates. Not reentrant: a job must not call run().
      */
-    void run(std::size_t numJobs,
-             const std::function<void(unsigned worker,
-                                      std::size_t job)> &runJob);
+    void run(std::size_t numJobs, const Job &runJob);
 
-    /** Completion order of the last run() — host scheduling truth,
-     *  informational only. */
-    const CompletionRing *completions() const { return ring_.get(); }
-
-    /** Cross-lane claims during the last run(). */
-    std::uint64_t steals() const
-    {
-        return queue_ ? queue_->steals() : 0;
-    }
+    /** Always 0: one shared cursor has no lanes to steal from. */
+    std::uint64_t steals() const { return 0; }
 
     /** Jobs each worker ran in the last run() (informational load
      *  balance; sums to the job count). */
@@ -215,10 +122,38 @@ class Fleet
     }
 
   private:
-    WorkerPool pool_;
-    std::unique_ptr<JobQueue> queue_;
-    std::unique_ptr<CompletionRing> ring_;
+    void workerLoop(unsigned worker);
+    /** Claim and run jobs until the cursor passes the batch. */
+    void drain(unsigned worker);
+    /** Yield until ready() holds, for at most kSpinWindow; then park
+     *  on cv_ until it does. */
+    template <class Ready> void await(Ready ready);
+    /** Advance batch_ and wake every parked thread. */
+    void publish();
+    /** Wake the threads to exit and join them. */
+    void stop();
+
+    unsigned workers_;
+
+    // Waiting threads park on cv_. Every change that can end a wait
+    // (a new batch_, busy_ reaching 0) is made under mu_, and a waiter
+    // checks under mu_ before it sleeps, so no wake is lost.
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::atomic<std::uint64_t> batch_{0}; //!< batches published
+    std::atomic<unsigned> busy_{0};       //!< threads still in a batch
+
+    // One batch. The caller writes these before it advances batch_
+    // (release); the threads read them after seeing the new batch_
+    // (acquire), and hand their slots back through busy_.
+    const Job *job_ = nullptr;
+    std::size_t numJobs_ = 0;
+    bool stop_ = false;
+    std::vector<std::exception_ptr> errors_; //!< per job
     std::vector<std::uint64_t> jobsPerWorker_;
+    std::atomic<std::size_t> cursor_{0};
+
+    std::vector<std::thread> threads_; //!< last: they use the above
 };
 
 } // namespace sim

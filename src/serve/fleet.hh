@@ -23,12 +23,14 @@
  *    (runVnJob). Still deterministic: construction is pure, jobs are
  *    independent.
  *
- * TtdaReplica::run and runVnJob are the one per-job body of each tier;
- * the fleets call them from sim::Fleet workers and the daemon
- * (src/daemon) calls them from its own worker threads.
+ * TtdaReplica::run and runVnJob are the one per-job body of each tier.
+ * The fleets call them from sim::Fleet's workers, which claim a
+ * batch's jobs from one shared cursor; the daemon (src/daemon) calls
+ * them from its own worker threads, which wait on its job FIFO
+ * (docs/ARCHITECTURE.md §16 says why the two loops stay apart).
  *
  * Results come back in job-index order; merged views (aggregate
- *  latency) fold per-job histograms in that order, so aggregates are
+ * latency) fold per-job histograms in that order, so aggregates are
  * as bit-identical as the per-job rows.
  */
 
@@ -141,11 +143,11 @@ class TtdaFleet
               const FleetConfig &cfg = {});
 
     /** Serve every job; results[j] belongs to jobs[j]. Bit-identical
-     *  for any worker count / steal order. */
+     *  for any worker count and claim order. */
     std::vector<FleetJobResult> run(const std::vector<FleetJob> &jobs);
 
-    unsigned workers() const { return fleet_.workers(); }
-    /** Host-order observability from the last run() (informational). */
+    /** Host-order observability from the last run() (informational;
+     *  steals() is always 0). */
     std::uint64_t steals() const { return fleet_.steals(); }
     const std::vector<std::uint64_t> &jobsPerWorker() const
     {
@@ -196,9 +198,6 @@ class VnFleet
 
     std::vector<VnFleetJobResult>
     run(const std::vector<VnFleetJob> &jobs);
-
-    unsigned workers() const { return fleet_.workers(); }
-    std::uint64_t steals() const { return fleet_.steals(); }
 
   private:
     sim::Fleet fleet_;

@@ -1,17 +1,19 @@
 /**
  * @file
- * The generic fleet engine: queue exactly-once delivery, steal-order
- * independence, completion-ring integrity, and deriveJobSeed's
- * job-id-only dependence.
+ * The generic fleet engine: exactly-once delivery at any worker
+ * count, reuse across many batches, failure order independent of the
+ * worker count, idle threads that sleep, clean shutdown, and
+ * deriveJobSeed's job-id-only dependence.
  */
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,85 +23,23 @@
 namespace
 {
 
-TEST(JobQueue, DeliversEveryJobExactlyOnceSingleWorker)
+double
+processCpuMs()
 {
-    sim::JobQueue q(10, 3);
-    std::vector<std::size_t> got;
-    while (auto j = q.pop(0))
-        got.push_back(*j);
-    std::sort(got.begin(), got.end());
-    std::vector<std::size_t> want(10);
-    std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(got, want);
-}
-
-TEST(JobQueue, HomeLaneDrainsInDealOrder)
-{
-    // Worker 1's home lane of a 3-lane deal over 10 jobs owns
-    // 1, 4, 7 — and hands them out in that order before stealing.
-    sim::JobQueue q(10, 3);
-    EXPECT_EQ(q.pop(1), std::optional<std::size_t>(1));
-    EXPECT_EQ(q.pop(1), std::optional<std::size_t>(4));
-    EXPECT_EQ(q.pop(1), std::optional<std::size_t>(7));
-    // Dry home lane: the next pop steals (from lane 2 first).
-    EXPECT_EQ(q.pop(1), std::optional<std::size_t>(2));
-    EXPECT_EQ(q.steals(), 1u);
-}
-
-TEST(JobQueue, ShardClampAndEmptyQueue)
-{
-    sim::JobQueue big(2, 64); // lanes clamp to the job count
-    EXPECT_EQ(big.shards(), 2u);
-    sim::JobQueue empty(0, 4);
-    EXPECT_EQ(empty.pop(0), std::nullopt);
-    EXPECT_EQ(empty.pop(3), std::nullopt);
-}
-
-TEST(JobQueue, ConcurrentPopsPartitionTheJobs)
-{
-    constexpr std::size_t kJobs = 2000;
-    constexpr unsigned kWorkers = 4;
-    sim::JobQueue q(kJobs, kWorkers);
-    std::vector<std::vector<std::size_t>> per(kWorkers);
-
-    sim::WorkerPool pool(kWorkers);
-    pool.run([&](unsigned w) {
-        while (auto j = q.pop(w))
-            per[w].push_back(*j);
-    });
-
-    std::vector<std::size_t> all;
-    for (const auto &v : per)
-        all.insert(all.end(), v.begin(), v.end());
-    EXPECT_EQ(all.size(), kJobs);
-    std::sort(all.begin(), all.end());
-    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
-        << "a job index was delivered twice";
-    EXPECT_EQ(all.front(), 0u);
-    EXPECT_EQ(all.back(), kJobs - 1);
-}
-
-TEST(CompletionRing, RecordsEveryPushOnce)
-{
-    sim::CompletionRing ring(64);
-    for (std::uint32_t i = 0; i < 64; ++i)
-        ring.push(i, i % 4);
-    ASSERT_EQ(ring.size(), 64u);
-    std::set<std::uint32_t> jobs;
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        jobs.insert(ring[i].job);
-    EXPECT_EQ(jobs.size(), 64u);
-    ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
 TEST(Fleet, RunsEveryJobExactlyOnce)
 {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-        sim::Fleet::Config cfg;
-        cfg.workers = workers;
-        sim::Fleet fleet(cfg);
-        constexpr std::size_t kJobs = 37;
+    // The last count oversubscribes the host: more workers than
+    // hardware threads.
+    const unsigned over = std::thread::hardware_concurrency() + 1;
+    for (const unsigned workers : {1u, 2u, 4u, over}) {
+        sim::Fleet fleet(sim::Fleet::Config{workers});
+        constexpr std::size_t kJobs = 2000;
         std::vector<std::atomic<int>> ran(kJobs);
         fleet.run(kJobs, [&](unsigned, std::size_t j) {
             ran[j].fetch_add(1, std::memory_order_relaxed);
@@ -107,13 +47,27 @@ TEST(Fleet, RunsEveryJobExactlyOnce)
         for (std::size_t j = 0; j < kJobs; ++j)
             EXPECT_EQ(ran[j].load(), 1) << "job " << j << " at "
                                         << workers << " workers";
-        ASSERT_NE(fleet.completions(), nullptr);
-        EXPECT_EQ(fleet.completions()->size(), kJobs);
-        std::uint64_t total = 0;
-        for (const std::uint64_t n : fleet.jobsPerWorker())
-            total += n;
-        EXPECT_EQ(total, kJobs);
+        const auto &perWorker = fleet.jobsPerWorker();
+        EXPECT_EQ(perWorker.size(), workers);
+        EXPECT_EQ(std::accumulate(perWorker.begin(), perWorker.end(),
+                                  std::uint64_t{0}),
+                  kJobs);
     }
+}
+
+TEST(Fleet, SingleWorkerRunsOnCaller)
+{
+    sim::Fleet fleet(sim::Fleet::Config{0}); // clamps to one worker
+    EXPECT_EQ(fleet.workers(), 1u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    fleet.run(5, [&](unsigned worker, std::size_t j) {
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(j);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(fleet.jobsPerWorker(), std::vector<std::uint64_t>{5});
 }
 
 TEST(Fleet, ResultsIndependentOfWorkerCount)
@@ -138,16 +92,14 @@ TEST(Fleet, ResultsIndependentOfWorkerCount)
 
 TEST(Fleet, ReusableAcrossBatches)
 {
-    sim::Fleet::Config cfg;
-    cfg.workers = 2;
-    sim::Fleet fleet(cfg);
-    for (const std::size_t jobs : {5u, 0u, 11u}) {
+    // Batch sizes cycle through 0..6, so empty and one-job batches
+    // recur between fuller ones.
+    sim::Fleet fleet(sim::Fleet::Config{4});
+    for (int b = 0; b < 1200; ++b) {
+        const std::size_t jobs = static_cast<std::size_t>(b % 7);
         std::vector<int> hit(jobs, 0);
-        fleet.run(jobs, [&](unsigned, std::size_t j) { hit[j] = 1; });
-        EXPECT_EQ(static_cast<std::size_t>(std::accumulate(
-                      hit.begin(), hit.end(), 0)),
-                  jobs);
-        EXPECT_EQ(fleet.completions()->size(), jobs);
+        fleet.run(jobs, [&](unsigned, std::size_t j) { ++hit[j]; });
+        EXPECT_EQ(hit, std::vector<int>(jobs, 1)) << "batch " << b;
     }
 }
 
@@ -162,6 +114,10 @@ TEST(Fleet, ExceptionsPropagate)
                                    throw std::runtime_error("job 3");
                            }),
                  std::runtime_error);
+    // The fleet stays usable after a failed batch.
+    std::atomic<int> runs{0};
+    fleet.run(8, [&](unsigned, std::size_t) { runs.fetch_add(1); });
+    EXPECT_EQ(runs.load(), 8);
 }
 
 TEST(Fleet, LowestJobIndexExceptionWins)
@@ -201,6 +157,44 @@ TEST(Fleet, EveryJobRunsWhenOneThrows)
             EXPECT_EQ(ran[j].load(), 1) << "job " << j << " at "
                                         << workers << " workers";
     }
+}
+
+TEST(Fleet, IdleWorkersSleep)
+{
+    sim::Fleet fleet(sim::Fleet::Config{4});
+    fleet.run(4, [](unsigned, std::size_t) {});
+    // Past the spin window every thread has parked.
+    std::this_thread::sleep_for(3 * sim::Fleet::kSpinWindow);
+    const double before = processCpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double used = processCpuMs() - before;
+    EXPECT_LT(used, 10.0) << "an idle 4-worker fleet burned " << used
+                          << " ms of CPU in 500 ms";
+
+    // Parked threads wake for the next batch.
+    std::vector<std::atomic<int>> ran(16);
+    fleet.run(ran.size(), [&](unsigned, std::size_t j) {
+        ran[j].fetch_add(1);
+    });
+    for (std::size_t j = 0; j < ran.size(); ++j)
+        EXPECT_EQ(ran[j].load(), 1) << "job " << j;
+}
+
+TEST(Fleet, DestructionJoinsCleanly)
+{
+    // Construct, use once, destroy — repeatedly. A wedged thread
+    // would hang this test (ctest's timeout catches it).
+    for (int i = 0; i < 20; ++i) {
+        sim::Fleet fleet(sim::Fleet::Config{3});
+        std::atomic<int> runs{0};
+        fleet.run(6, [&](unsigned, std::size_t) { runs.fetch_add(1); });
+        EXPECT_EQ(runs.load(), 6);
+    }
+}
+
+TEST(Fleet, DestructionWithoutAnyRun)
+{
+    sim::Fleet fleet(sim::Fleet::Config{4}); // start and shut down
 }
 
 TEST(DeriveJobSeed, DependsOnJobIdNotCaller)
