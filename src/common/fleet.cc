@@ -1,11 +1,11 @@
 #include "common/fleet.hh"
 
-#include <algorithm>
+#include "common/logging.hh"
 
 namespace sim
 {
 
-Fleet::Fleet(Config cfg) : workers_(std::max(1u, cfg.workers))
+Fleet::Fleet(Config cfg) : workers_(cfg.workers < 1 ? 1 : cfg.workers)
 {
     threads_.reserve(workers_ - 1);
     try {
@@ -87,10 +87,11 @@ Fleet::workerLoop(unsigned worker)
 void
 Fleet::run(std::size_t numJobs, const Job &runJob)
 {
-    job_ = &runJob;
-    numJobs_ = numJobs;
+    SIM_ASSERT_MSG(!job_, "Fleet::run is not reentrant");
     errors_.assign(numJobs, nullptr);
     jobsPerWorker_.assign(workers_, 0);
+    job_ = &runJob;
+    numJobs_ = numJobs;
     cursor_.store(0, std::memory_order_relaxed);
     busy_.store(workers_ - 1, std::memory_order_relaxed);
     publish();

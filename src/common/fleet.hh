@@ -85,9 +85,9 @@ class Fleet
      * of a whole batch in the perfbench fleet workloads (11 ms for
      * fleet_lossy, 20 ms for emul_fleet), so a busy fleet almost never
      * parks inside or between batches, and an idle one parks this
-     * long after its last batch. Parking at once or after 1 ms cost
-     * those workloads 2–11% throughput (EXPERIMENTS.md, "One job
-     * runner").
+     * long after its last batch. Parking at once or after 1 ms
+     * raised the batch p99 by 11–18% in three of those four cases
+     * (EXPERIMENTS.md, "One job runner").
      */
     static constexpr std::chrono::milliseconds kSpinWindow{20};
 
