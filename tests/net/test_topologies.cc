@@ -12,9 +12,15 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/fault.hh"
+#include "common/format.hh"
 #include "common/random.hh"
+#include "common/snapshot.hh"
+#include "common/state.hh"
 #include "net/crossbar.hh"
 #include "net/grid.hh"
 #include "net/hierarchical.hh"
@@ -321,6 +327,23 @@ class TopologyProperty : public ::testing::TestWithParam<int>
           default: return std::make_unique<net::GridNet<Payload>>(4);
         }
     }
+
+    /** The same six with multi-cycle links, so packets wait in service
+     *  queues while others are in timed transit. */
+    static std::unique_ptr<net::Network<Payload>>
+    makeSlow(int which)
+    {
+        switch (which) {
+          case 0: return std::make_unique<net::IdealNetwork<Payload>>(
+                      16, 7);
+          case 1: return std::make_unique<net::Crossbar<Payload>>(16, 5);
+          case 2: return std::make_unique<net::HierarchicalNet<Payload>>(
+                      16, 4, 3, 9);
+          case 3: return std::make_unique<net::OmegaNet<Payload>>(8);
+          case 4: return std::make_unique<net::Hypercube<Payload>>(4, 3);
+          default: return std::make_unique<net::GridNet<Payload>>(4, 3);
+        }
+    }
 };
 
 TEST_P(TopologyProperty, RandomTrafficDeliveredExactlyOnce)
@@ -383,6 +406,146 @@ TEST_P(TopologyProperty, ResetMatchesFreshNetwork)
     EXPECT_EQ(used->stats().latency.sum(), fresh->stats().latency.sum());
     EXPECT_EQ(used->stats().blockedCycles.value(),
               fresh->stats().blockedCycles.value());
+}
+
+/** One send of a scheduled traffic pattern. */
+struct TimedSend
+{
+    sim::Cycle at;
+    sim::NodeId src;
+    sim::NodeId dst;
+    Payload payload;
+};
+
+/** Seeded bursts of sends separated by idle gaps, in cycle order: the
+ *  gaps give a skipping driver dead cycles to jump over, and the
+ *  bursts build up contention it must not jump past. */
+std::vector<TimedSend>
+burstyTraffic(sim::NodeId ports, std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    std::vector<TimedSend> sends;
+    sim::Cycle at = 0;
+    Payload next = 0;
+    for (int burst = 0; burst < 16; ++burst) {
+        at += rng.below(60);
+        const sim::Cycle end = at + 1 + rng.below(6);
+        for (; at < end; ++at) {
+            for (std::uint64_t k = rng.below(ports); k > 0; --k) {
+                sends.push_back(
+                    {at, static_cast<sim::NodeId>(rng.below(ports)),
+                     static_cast<sim::NodeId>(rng.below(ports)), next++});
+            }
+        }
+    }
+    return sends;
+}
+
+/** A delivery as the machine sees it: the cycle receive() ran, the
+ *  port, and the payload. */
+struct TimedDelivery
+{
+    sim::Cycle cycle;
+    sim::NodeId port;
+    Payload payload;
+
+    bool operator==(const TimedDelivery &) const = default;
+};
+
+/** Drive `nw` through `sends` the way the machines do: send, step,
+ *  then receive on every port. With `skip`, first jump to
+ *  min(next send, nextDelivery()) with one step() call, as
+ *  Machine::skipAhead does. Counts the step() calls in `steps`. */
+std::vector<TimedDelivery>
+driveTimed(net::Network<Payload> &nw, const std::vector<TimedSend> &sends,
+           bool skip, std::size_t &steps)
+{
+    std::vector<TimedDelivery> got;
+    std::size_t next = 0;
+    sim::Cycle now = 0;
+    steps = 0;
+    while (next < sends.size() || !nw.idle()) {
+        if (skip) {
+            sim::Cycle to = nw.nextDelivery();
+            if (next < sends.size())
+                to = std::min(to, sends[next].at);
+            if (to > now) {
+                nw.step(to - 1);
+                ++steps;
+                now = to;
+            }
+        }
+        for (; next < sends.size() && sends[next].at == now; ++next)
+            nw.send(sends[next].src, sends[next].dst, sends[next].payload);
+        nw.step(now);
+        ++steps;
+        ++now;
+        for (sim::NodeId p = 0; p < nw.numPorts(); ++p) {
+            if (auto v = nw.receive(p))
+                got.push_back({now, p, *v});
+        }
+        if (now > 100000) {
+            ADD_FAILURE() << "network failed to drain";
+            break;
+        }
+    }
+    return got;
+}
+
+/** The traffic statistics as snapshot bytes, for an exact compare. */
+std::string
+statsBytes(const net::NetStats &stats)
+{
+    sim::snapshot::Writer w;
+    sim::state::save(w, stats);
+    std::ostringstream os;
+    w.finish(os);
+    return os.str();
+}
+
+TEST_P(TopologyProperty, SkipAheadMatchesSteppingEveryCycle)
+{
+    // The nextDelivery() contract: jumping straight to the cycle it
+    // names gives the same deliveries, cycle for cycle, and the same
+    // statistics as stepping every cycle, on a bare fabric and under
+    // drops, duplicates and delay spikes, with one-cycle and
+    // multi-cycle links.
+    sim::fault::FaultPlan plan;
+    plan.seed = 40 + static_cast<std::uint64_t>(GetParam());
+    plan.dropRate = 0.05;
+    plan.dupRate = 0.05;
+    plan.delayRate = 0.10;
+    plan.delaySpike = 30;
+    for (const int variant : {0, 1, 2, 3}) {
+        const bool faulted = variant & 1;
+        const bool slow = variant & 2;
+        SCOPED_TRACE(sim::format("{} {}", faulted ? "faulted" : "bare",
+                                 slow ? "slow" : "fast"));
+        auto stepped = slow ? makeSlow(GetParam()) : make(GetParam());
+        auto skipped = slow ? makeSlow(GetParam()) : make(GetParam());
+        const auto sends =
+            burstyTraffic(stepped->numPorts(), 23 + GetParam());
+        sim::fault::FaultInjector steppedFaults(plan);
+        sim::fault::FaultInjector skippedFaults(plan);
+        if (faulted) {
+            stepped->setFaultInjector(&steppedFaults);
+            skipped->setFaultInjector(&skippedFaults);
+        }
+        std::size_t steppedSteps = 0, skippedSteps = 0;
+        const auto want = driveTimed(*stepped, sends, false, steppedSteps);
+        const auto got = driveTimed(*skipped, sends, true, skippedSteps);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(statsBytes(skipped->stats()),
+                  statsBytes(stepped->stats()));
+        EXPECT_GT(stepped->stats().delivered.value(), 0u);
+        if (faulted) {
+            EXPECT_GT(steppedFaults.stats().delays, 0u);
+            EXPECT_EQ(skippedFaults.stats().decisions,
+                      steppedFaults.stats().decisions);
+        }
+        // The gaps were skipped, not stepped through.
+        EXPECT_LT(skippedSteps, steppedSteps);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyProperty,
