@@ -220,6 +220,21 @@ FaultPlan::summary() const
     return os.str();
 }
 
+std::unique_ptr<FaultInjector>
+makeInjector(const FaultPlan &plan, std::uint64_t root)
+{
+    if (!plan.enabled())
+        return nullptr;
+    FaultPlan seeded = plan;
+    if (seeded.seed == 0) {
+        std::uint64_t z = root + 0x9e3779b97f4a7c15ULL;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        seeded.seed = z ^ (z >> 31);
+    }
+    return std::make_unique<FaultInjector>(seeded);
+}
+
 FaultInjector::FaultInjector(const FaultPlan &plan)
     : plan_(plan), rng_(plan.seed)
 {

@@ -31,6 +31,7 @@
 #define TTDA_COMMON_FAULT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,15 @@ class FaultInjector
     std::vector<Event> dropSpikes_;
     Stats stats_;
 };
+
+/**
+ * The injector a machine with root seed `root` runs `plan` under, or
+ * null when the plan injects nothing. A plan seed of 0 derives the
+ * fault stream's seed from `root` (SplitMix64 finalizer), so a run
+ * replays from the two seeds.
+ */
+std::unique_ptr<FaultInjector> makeInjector(const FaultPlan &plan,
+                                            std::uint64_t root);
 
 } // namespace fault
 } // namespace sim

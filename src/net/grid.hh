@@ -31,15 +31,14 @@ class GridNet : public Network<Payload>
   public:
     /** @param side grid side length k (ports = k*k) */
     explicit GridNet(std::uint32_t side, sim::Cycle hop_latency = 1)
-        : side_(side), ports_(side * side), hopLatency_(hop_latency),
-          arrivals_(ports_)
+        : Network<Payload>(side * side), side_(side),
+          hopLatency_(hop_latency)
     {
         SIM_ASSERT(side >= 2);
         SIM_ASSERT(hop_latency >= 1);
-        linkQueues_.resize(static_cast<std::size_t>(ports_) * 4);
+        linkQueues_.resize(static_cast<std::size_t>(this->ports_) * 4);
     }
 
-    sim::NodeId numPorts() const override { return ports_; }
     std::uint32_t side() const { return side_; }
 
     /** Maximum number of hops between any pair of nodes. */
@@ -52,21 +51,14 @@ class GridNet : public Network<Payload>
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
     {
-        SIM_ASSERT(src < ports_ && dst < ports_);
-        Packet<Payload> pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.issued = now_;
-        pkt.payload = std::move(payload);
-        this->noteSend(pkt);
-        route(src, std::move(pkt));
+        route(src, this->stamp(src, dst, std::move(payload)));
     }
 
     void
     step(sim::Cycle now) override
     {
-        now_ = now + 1;
-        for (sim::NodeId node = 0; node < ports_; ++node) {
+        this->now_ = now + 1;
+        for (sim::NodeId node = 0; node < this->ports_; ++node) {
             for (std::uint32_t d = 0; d < 4; ++d) {
                 auto &q = linkQueues_[node * 4 + d];
                 if (q.empty())
@@ -76,7 +68,7 @@ class GridNet : public Network<Payload>
                 Transit t;
                 t.pkt = std::move(pkt);
                 t.nextNode = neighbour(node, d);
-                t.readyAt = now_ + hopLatency_ - 1;
+                t.readyAt = this->now_ + hopLatency_ - 1;
                 transiting_.push_back(std::move(t));
                 this->stats_.blockedCycles.inc(q.size());
             }
@@ -84,38 +76,18 @@ class GridNet : public Network<Payload>
         std::vector<Transit> still;
         still.reserve(transiting_.size());
         for (auto &t : transiting_) {
-            if (t.readyAt > now_) {
+            if (t.readyAt > this->now_) {
                 still.push_back(std::move(t));
                 continue;
             }
             t.pkt.hops += 1;
             if (t.nextNode == t.pkt.dst)
-                this->deliver(arrivals_, std::move(t.pkt), now_);
+                this->deliver(std::move(t.pkt));
             else
                 route(t.nextNode, std::move(t.pkt));
         }
         transiting_ = std::move(still);
-        this->flushFaultDelayed(arrivals_, now_);
-    }
-
-    std::optional<Payload>
-    receive(sim::NodeId dst) override
-    {
-        auto pkt = arrivals_.pop(dst);
-        if (!pkt)
-            return std::nullopt;
-        this->noteDeliver(*pkt, now_);
-        return std::move(pkt->payload);
-    }
-
-    bool
-    idle() const override
-    {
-        for (const auto &q : linkQueues_)
-            if (!q.empty())
-                return false;
-        return transiting_.empty() && arrivals_.empty() &&
-               this->faultIdle();
+        this->flushFaultDelayed();
     }
 
     sim::Cycle
@@ -123,24 +95,20 @@ class GridNet : public Network<Payload>
     {
         for (const auto &q : linkQueues_)
             if (!q.empty())
-                return now_;
-        if (!arrivals_.empty())
-            return now_;
+                return this->now_;
         sim::Cycle next = sim::neverCycle;
         for (const auto &t : transiting_)
             next = std::min(next, t.readyAt - 1);
-        return this->faultClamp(next);
+        return this->nextDeliveryFrom(next);
     }
 
     NetOccupancy
     occupancy() const override
     {
-        NetOccupancy occ;
+        std::size_t queued = 0;
         for (const auto &q : linkQueues_)
-            occ.queued += q.size();
-        occ.queued += arrivals_.totalQueued();
-        occ.inFlight = transiting_.size() + this->faultDelayedCount();
-        return occ;
+            queued += q.size();
+        return this->occupancyFrom(queued, transiting_.size());
     }
 
     void reset() override { sim::state::reset(*this); }
@@ -151,7 +119,8 @@ class GridNet : public Network<Payload>
     visitState(V &v)
     {
         Network<Payload>::visitState(v);
-        v(now_, sim::state::fixed(linkQueues_), transiting_, arrivals_);
+        v(this->now_, sim::state::fixed(linkQueues_), transiting_,
+          this->arrivals_);
     }
 
   private:
@@ -187,7 +156,7 @@ class GridNet : public Network<Payload>
     route(sim::NodeId node, Packet<Payload> pkt)
     {
         if (node == pkt.dst) {
-            this->deliver(arrivals_, std::move(pkt), now_);
+            this->deliver(std::move(pkt));
             return;
         }
         const std::uint32_t x = node % side_, dx = pkt.dst % side_;
@@ -204,12 +173,9 @@ class GridNet : public Network<Payload>
     }
 
     std::uint32_t side_;
-    sim::NodeId ports_;
     sim::Cycle hopLatency_;
-    sim::Cycle now_ = 0;
     std::vector<sim::RingQueue<Packet<Payload>>> linkQueues_;
     std::vector<Transit> transiting_;
-    detail::ArrivalQueues<Payload> arrivals_;
 };
 
 } // namespace net

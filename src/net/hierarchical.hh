@@ -45,19 +45,18 @@ class HierarchicalNet : public Network<Payload>
     HierarchicalNet(sim::NodeId ports, sim::NodeId cluster_size,
                     sim::Cycle local_latency = 2,
                     sim::Cycle global_latency = 8)
-        : ports_(ports), clusterSize_(cluster_size),
+        : Network<Payload>(ports), clusterSize_(cluster_size),
           localLatency_(local_latency), globalLatency_(global_latency),
-          clusterQueues_(ports / cluster_size), arrivals_(ports)
+          clusterQueues_(ports / cluster_size)
     {
-        SIM_ASSERT(ports > 0 && cluster_size > 0);
+        SIM_ASSERT(cluster_size > 0);
         SIM_ASSERT_MSG(ports % cluster_size == 0,
                        "ports {} not a multiple of cluster size {}",
                        ports, cluster_size);
         SIM_ASSERT(local_latency >= 1 && global_latency >= 1);
     }
 
-    sim::NodeId numPorts() const override { return ports_; }
-    sim::NodeId numClusters() const { return ports_ / clusterSize_; }
+    sim::NodeId numClusters() const { return this->ports_ / clusterSize_; }
     sim::NodeId clusterOf(sim::NodeId node) const
     {
         return node / clusterSize_;
@@ -66,21 +65,15 @@ class HierarchicalNet : public Network<Payload>
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
     {
-        SIM_ASSERT(src < ports_ && dst < ports_);
         Transit t;
-        t.pkt.src = src;
-        t.pkt.dst = dst;
-        t.pkt.issued = now_;
-        t.pkt.payload = std::move(payload);
-        t.leg = Leg::SourceBus;
-        this->noteSend(t.pkt);
+        t.pkt = this->stamp(src, dst, std::move(payload));
         clusterQueues_[clusterOf(src)].push_back(std::move(t));
     }
 
     void
     step(sim::Cycle now) override
     {
-        now_ = now + 1;
+        this->now_ = now + 1;
 
         // Each cluster bus serves one packet per cycle.
         for (auto &q : clusterQueues_) {
@@ -90,7 +83,7 @@ class HierarchicalNet : public Network<Payload>
             Transit t = std::move(q.front());
             q.pop_front();
             t.pkt.hops += 1;
-            t.readyAt = now_ + localLatency_ - 1;
+            t.readyAt = this->now_ + localLatency_ - 1;
             busTransit_.push(t.readyAt, std::move(t));
             this->stats_.blockedCycles.inc(q.size());
         }
@@ -101,18 +94,18 @@ class HierarchicalNet : public Network<Payload>
             globalQueue_.pop_front();
             t.pkt.hops += 1;
             t.leg = Leg::DestBus;
-            t.readyAt = now_ + globalLatency_ - 1;
+            t.readyAt = this->now_ + globalLatency_ - 1;
             busTransit_.push(t.readyAt, std::move(t));
             this->stats_.blockedCycles.inc(globalQueue_.size());
         }
 
         // Retire bus traversals that complete this cycle.
-        while (!busTransit_.empty() && busTransit_.minKey() <= now_) {
+        while (!busTransit_.empty() && busTransit_.minKey() <= this->now_) {
             Transit t = busTransit_.pop();
             switch (t.leg) {
               case Leg::SourceBus:
                 if (clusterOf(t.pkt.src) == clusterOf(t.pkt.dst)) {
-                    this->deliver(arrivals_, std::move(t.pkt), now_);
+                    this->deliver(std::move(t.pkt));
                 } else {
                     t.leg = Leg::GlobalBus;
                     globalQueue_.push_back(std::move(t));
@@ -126,7 +119,7 @@ class HierarchicalNet : public Network<Payload>
                 // Completed the intercluster hop: needs the destination
                 // cluster bus next, then arrives.
                 if (t.enteredDestBus) {
-                    this->deliver(arrivals_, std::move(t.pkt), now_);
+                    this->deliver(std::move(t.pkt));
                 } else {
                     t.enteredDestBus = true;
                     clusterQueues_[clusterOf(t.pkt.dst)]
@@ -135,27 +128,7 @@ class HierarchicalNet : public Network<Payload>
                 break;
             }
         }
-        this->flushFaultDelayed(arrivals_, now_);
-    }
-
-    std::optional<Payload>
-    receive(sim::NodeId dst) override
-    {
-        auto pkt = arrivals_.pop(dst);
-        if (!pkt)
-            return std::nullopt;
-        this->noteDeliver(*pkt, now_);
-        return std::move(pkt->payload);
-    }
-
-    bool
-    idle() const override
-    {
-        for (const auto &q : clusterQueues_)
-            if (!q.empty())
-                return false;
-        return globalQueue_.empty() && busTransit_.empty() &&
-               arrivals_.empty() && this->faultIdle();
+        this->flushFaultDelayed();
     }
 
     sim::Cycle
@@ -164,24 +137,21 @@ class HierarchicalNet : public Network<Payload>
         // Bus queues arbitrate (and accrue blockedCycles) every cycle.
         for (const auto &q : clusterQueues_)
             if (!q.empty())
-                return now_;
-        if (!globalQueue_.empty() || !arrivals_.empty())
-            return now_;
-        sim::Cycle next = sim::neverCycle;
-        if (!busTransit_.empty())
-            next = busTransit_.minKey() - 1;
-        return this->faultClamp(next);
+                return this->now_;
+        if (!globalQueue_.empty())
+            return this->now_;
+        return this->nextDeliveryFrom(busTransit_.empty()
+                                          ? sim::neverCycle
+                                          : busTransit_.minKey() - 1);
     }
 
     NetOccupancy
     occupancy() const override
     {
-        NetOccupancy occ;
+        std::size_t queued = globalQueue_.size();
         for (const auto &q : clusterQueues_)
-            occ.queued += q.size();
-        occ.queued += globalQueue_.size() + arrivals_.totalQueued();
-        occ.inFlight = busTransit_.size() + this->faultDelayedCount();
-        return occ;
+            queued += q.size();
+        return this->occupancyFrom(queued, busTransit_.size());
     }
 
     void reset() override { sim::state::reset(*this); }
@@ -194,8 +164,8 @@ class HierarchicalNet : public Network<Payload>
     visitState(V &v)
     {
         Network<Payload>::visitState(v);
-        v(now_, sim::state::fixed(clusterQueues_), globalQueue_,
-          busTransit_, arrivals_);
+        v(this->now_, sim::state::fixed(clusterQueues_), globalQueue_,
+          busTransit_, this->arrivals_);
     }
 
   private:
@@ -219,15 +189,12 @@ class HierarchicalNet : public Network<Payload>
         }
     };
 
-    sim::NodeId ports_;
     sim::NodeId clusterSize_;
     sim::Cycle localLatency_;
     sim::Cycle globalLatency_;
-    sim::Cycle now_ = 0;
     std::vector<sim::RingQueue<Transit>> clusterQueues_;
     sim::RingQueue<Transit> globalQueue_;
     sim::EventHeap<Transit> busTransit_;
-    detail::ArrivalQueues<Payload> arrivals_;
 };
 
 } // namespace net

@@ -39,8 +39,7 @@ class Hypercube : public Network<Payload>
      * @param hop_latency  cycles per link traversal (>= 1)
      */
     explicit Hypercube(std::uint32_t dim, sim::Cycle hop_latency = 1)
-        : dim_(dim), ports_(1u << dim), hopLatency_(hop_latency),
-          arrivals_(ports_)
+        : Network<Payload>(1u << dim), dim_(dim), hopLatency_(hop_latency)
     {
         SIM_ASSERT(dim >= 1 && dim <= 20);
         SIM_ASSERT(hop_latency >= 1);
@@ -50,7 +49,6 @@ class Hypercube : public Network<Payload>
             routingTable_[i] = i;
     }
 
-    sim::NodeId numPorts() const override { return ports_; }
     std::uint32_t dimension() const { return dim_; }
 
     /**
@@ -88,20 +86,15 @@ class Hypercube : public Network<Payload>
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
     {
-        SIM_ASSERT(src < ports_ && dst < ports_);
-        Packet<Payload> pkt;
-        pkt.src = src;
-        pkt.dst = routingTable_[dst];
-        pkt.issued = now_;
-        pkt.payload = std::move(payload);
-        this->noteSend(pkt);
-        route(src, std::move(pkt), /*misroutes=*/0);
+        SIM_ASSERT(dst < ports_);
+        route(src, this->stamp(src, routingTable_[dst], std::move(payload)),
+              /*misroutes=*/0);
     }
 
     void
     step(sim::Cycle now) override
     {
-        now_ = now + 1;
+        this->now_ = now + 1;
 
         // Each link transmits at most one packet per cycle.
         for (sim::NodeId node = 0; node < ports_; ++node) {
@@ -111,7 +104,7 @@ class Hypercube : public Network<Payload>
                     continue;
                 InFlight f = std::move(q.front());
                 q.pop_front();
-                f.readyAt = now_ + hopLatency_ - 1;
+                f.readyAt = this->now_ + hopLatency_ - 1;
                 f.nextNode = node ^ (1u << d);
                 transiting_.push_back(std::move(f));
                 this->stats_.blockedCycles.inc(q.size());
@@ -122,39 +115,19 @@ class Hypercube : public Network<Payload>
         std::vector<InFlight> still;
         still.reserve(transiting_.size());
         for (auto &f : transiting_) {
-            if (f.readyAt > now_) {
+            if (f.readyAt > this->now_) {
                 still.push_back(std::move(f));
                 continue;
             }
             f.pkt.hops += 1;
             if (f.nextNode == f.pkt.dst) {
-                this->deliver(arrivals_, std::move(f.pkt), now_);
+                this->deliver(std::move(f.pkt));
             } else {
                 route(f.nextNode, std::move(f.pkt), f.misroutes);
             }
         }
         transiting_ = std::move(still);
-        this->flushFaultDelayed(arrivals_, now_);
-    }
-
-    std::optional<Payload>
-    receive(sim::NodeId dst) override
-    {
-        auto pkt = arrivals_.pop(dst);
-        if (!pkt)
-            return std::nullopt;
-        this->noteDeliver(*pkt, now_);
-        return std::move(pkt->payload);
-    }
-
-    bool
-    idle() const override
-    {
-        for (const auto &q : linkQueues_)
-            if (!q.empty())
-                return false;
-        return transiting_.empty() && arrivals_.empty() &&
-               this->faultIdle();
+        this->flushFaultDelayed();
     }
 
     sim::Cycle
@@ -164,24 +137,20 @@ class Hypercube : public Network<Payload>
         // model must not skip while any link queue is live.
         for (const auto &q : linkQueues_)
             if (!q.empty())
-                return now_;
-        if (!arrivals_.empty())
-            return now_;
+                return this->now_;
         sim::Cycle next = sim::neverCycle;
         for (const auto &f : transiting_)
             next = std::min(next, f.readyAt - 1);
-        return this->faultClamp(next);
+        return this->nextDeliveryFrom(next);
     }
 
     NetOccupancy
     occupancy() const override
     {
-        NetOccupancy occ;
+        std::size_t queued = 0;
         for (const auto &q : linkQueues_)
-            occ.queued += q.size();
-        occ.queued += arrivals_.totalQueued();
-        occ.inFlight = transiting_.size() + this->faultDelayedCount();
-        return occ;
+            queued += q.size();
+        return this->occupancyFrom(queued, transiting_.size());
     }
 
     void reset() override { sim::state::reset(*this); }
@@ -193,7 +162,8 @@ class Hypercube : public Network<Payload>
     visitState(V &v)
     {
         Network<Payload>::visitState(v);
-        v(now_, sim::state::fixed(linkQueues_), transiting_, arrivals_);
+        v(this->now_, sim::state::fixed(linkQueues_), transiting_,
+          this->arrivals_);
     }
 
   private:
@@ -239,7 +209,7 @@ class Hypercube : public Network<Payload>
     route(sim::NodeId node, Packet<Payload> pkt, std::uint32_t misroutes)
     {
         if (node == pkt.dst) {
-            this->deliver(arrivals_, std::move(pkt), now_);
+            this->deliver(std::move(pkt));
             return;
         }
         if (deadLinks_.empty()) {
@@ -307,17 +277,16 @@ class Hypercube : public Network<Payload>
         linkQueues_[linkIndex(node, d)].push_back(std::move(f));
     }
 
+    using Network<Payload>::ports_;
+
     std::uint32_t dim_;
-    sim::NodeId ports_;
     sim::Cycle hopLatency_;
-    sim::Cycle now_ = 0;
     bool tablesDirty_ = false;
     std::vector<std::uint8_t> faultNext_; //!< [dst*ports + node]
     std::vector<sim::RingQueue<InFlight>> linkQueues_;
     std::vector<InFlight> transiting_;
     std::set<std::pair<sim::NodeId, std::uint32_t>> deadLinks_;
     std::vector<sim::NodeId> routingTable_;
-    detail::ArrivalQueues<Payload> arrivals_;
 };
 
 } // namespace net

@@ -12,6 +12,14 @@
  *  - latency that grows with machine size and contention, so memory
  *    responses can return out of order.
  *
+ * The base class owns what every topology shares: the port count, the
+ * cycle clock, the per-port arrival queues and receive(), packet
+ * stamping for send(), the fault-injection choke point deliver() with
+ * its delay holds, and an idle() derived from occupancy(). A topology
+ * keeps only its routing, its service queues and its transit schedule:
+ * it writes send(), step(), nextDelivery(), occupancy(), reset() and
+ * visitState().
+ *
  * Networks are templated on the payload type so the same topology model
  * carries dataflow tokens, von Neumann memory transactions, or plain
  * test payloads.
@@ -28,6 +36,7 @@
 #include "common/eventheap.hh"
 #include "common/fault.hh"
 #include "common/format.hh"
+#include "common/logging.hh"
 #include "common/ringqueue.hh"
 #include "common/state.hh"
 #include "common/stats.hh"
@@ -94,7 +103,8 @@ struct Packet
 };
 
 /**
- * Interface shared by every topology model.
+ * Interface shared by every topology model, and the state they all
+ * keep.
  *
  * Usage per simulated cycle: any number of send() calls (the models
  * queue excess injections), then one step(), then receive() per port to
@@ -107,19 +117,37 @@ class Network
     virtual ~Network() = default;
 
     /** Number of ports (== number of attached nodes). */
-    virtual sim::NodeId numPorts() const = 0;
+    sim::NodeId numPorts() const { return ports_; }
 
     /** Inject a packet at port src bound for port dst. */
     virtual void send(sim::NodeId src, sim::NodeId dst, Payload payload) = 0;
 
-    /** Advance the network by one cycle. @param now the current cycle. */
+    /**
+     * Advance the network by one cycle. @param now the current cycle.
+     * A topology sets `now_ = now + 1`, moves its packets, hands those
+     * that reach their port to deliver(), then calls
+     * flushFaultDelayed().
+     */
     virtual void step(sim::Cycle now) = 0;
 
     /** Pop one packet that has arrived at dst, if any. */
-    virtual std::optional<Payload> receive(sim::NodeId dst) = 0;
+    virtual std::optional<Payload>
+    receive(sim::NodeId dst)
+    {
+        auto pkt = arrivals_.pop(dst);
+        if (!pkt)
+            return std::nullopt;
+        noteDeliver(*pkt, now_);
+        return std::move(pkt->payload);
+    }
 
     /** True when no packets are queued or in flight anywhere. */
-    virtual bool idle() const = 0;
+    virtual bool
+    idle() const
+    {
+        const NetOccupancy occ = occupancy();
+        return occ.queued == 0 && occ.inFlight == 0;
+    }
 
     /**
      * Earliest cycle at which step() must next be called so no packet
@@ -139,12 +167,15 @@ class Network
      *
      * Skipping straight to the returned cycle and calling step() there
      * is guaranteed to produce bit-identical deliveries and statistics
-     * to stepping every intervening cycle.
+     * to stepping every intervening cycle. A topology returns `now_`
+     * while a service queue is live, and otherwise
+     * nextDeliveryFrom() of its transit schedule.
      */
     virtual sim::Cycle nextDelivery() const = 0;
 
     /** Instantaneous queue depth and in-flight packet count; a cheap
-     *  O(ports) walk at most, safe to call every metrics sample. */
+     *  O(ports) walk at most, safe to call every metrics sample. A
+     *  topology returns occupancyFrom() of its own queues. */
     virtual NetOccupancy occupancy() const = 0;
 
     const NetStats &stats() const { return stats_; }
@@ -163,10 +194,11 @@ class Network
     /**
      * The run state shared by every topology: the traffic statistics
      * and the fault-delayed packet heap. A topology's own visitState
-     * visits this first. Not virtual: the visitors are templates, and
-     * a virtual would force payload codecs to exist for every
-     * instantiated payload type, so a snapshot owner dispatches on the
-     * concrete topology instead.
+     * visits this first, and visits `now_` and `arrivals_` itself,
+     * where its snapshot layout has them. Not virtual: the visitors
+     * are templates, and a virtual would force payload codecs to
+     * exist for every instantiated payload type, so a snapshot owner
+     * dispatches on the concrete topology instead.
      */
     template <class V>
     void
@@ -195,11 +227,30 @@ class Network
     }
 
   protected:
+    explicit Network(sim::NodeId ports) : ports_(ports), arrivals_(ports)
+    {
+        SIM_ASSERT(ports > 0);
+    }
+
     /**
-     * Shared injection hook: every topology's send() calls this once
-     * per packet (after filling in the packet header) so the `sent`
+     * A packet entering at src for dst this cycle, counted as sent:
+     * every topology's send() builds its packet here, so the `sent`
      * counter and the `inj` trace event are emitted uniformly.
      */
+    Packet<Payload>
+    stamp(sim::NodeId src, sim::NodeId dst, Payload payload)
+    {
+        SIM_ASSERT(src < ports_ && dst < ports_);
+        Packet<Payload> pkt;
+        pkt.src = src;
+        pkt.dst = dst;
+        pkt.issued = now_;
+        pkt.payload = std::move(payload);
+        noteSend(pkt);
+        return pkt;
+    }
+
+    /** Count `pkt` as sent and emit its `inj` trace event. */
     void
     noteSend(const Packet<Payload> &pkt)
     {
@@ -209,9 +260,8 @@ class Network
     }
 
     /**
-     * Shared delivery hook: every topology's receive() calls this for
-     * the packet it pops, centralizing the delivered/latency/hops
-     * statistics and the `dlv` trace event.
+     * Count `pkt` as delivered at `now`: the delivered/latency/hops
+     * statistics and the `dlv` trace event, for receive().
      */
     void
     noteDeliver(const Packet<Payload> &pkt, sim::Cycle now)
@@ -226,7 +276,7 @@ class Network
 
     /**
      * Shared delivery hook: every topology pushes a completed packet
-     * into its arrival queues through here, which is therefore the one
+     * into the arrival queues through here, which is therefore the one
      * place fault injection acts. Without an injector this is exactly
      * the old direct push (one null check). With one, the packet's
      * fate is drawn from the injector's deterministic stream: dropped
@@ -237,44 +287,43 @@ class Network
      * re-submitted.
      */
     void
-    deliver(detail::ArrivalQueues<Payload> &arrivals,
-            Packet<Payload> &&pkt, sim::Cycle now)
+    deliver(Packet<Payload> &&pkt)
     {
         if (!faults_) {
-            arrivals.push(pkt.dst, std::move(pkt));
+            arrivals_.push(pkt.dst, std::move(pkt));
             return;
         }
         const sim::fault::PacketFate fate =
-            faults_->onPacket(now, pkt.src, pkt.dst);
+            faults_->onPacket(now_, pkt.src, pkt.dst);
         using Action = sim::fault::PacketFate::Action;
         switch (fate.action) {
           case Action::Deliver:
-            arrivals.push(pkt.dst, std::move(pkt));
+            arrivals_.push(pkt.dst, std::move(pkt));
             break;
           case Action::Drop:
             SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.dst,
-                      fate.scheduled ? "flinkdown" : "fdrop", now,
+                      fate.scheduled ? "flinkdown" : "fdrop", now_,
                       sim::format("\"src\":{}", pkt.src));
             break;
           case Action::Duplicate: {
             SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.dst,
-                      "fdup", now, sim::format("\"src\":{}", pkt.src));
+                      "fdup", now_, sim::format("\"src\":{}", pkt.src));
             Packet<Payload> copy = pkt;
-            arrivals.push(pkt.dst, std::move(copy));
-            arrivals.push(pkt.dst, std::move(pkt));
+            arrivals_.push(pkt.dst, std::move(copy));
+            arrivals_.push(pkt.dst, std::move(pkt));
             break;
           }
           case Action::Corrupt:
             SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.dst,
-                      "fcorrupt", now,
+                      "fcorrupt", now_,
                       sim::format("\"src\":{}", pkt.src));
             break;
           case Action::Delay:
             SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.dst,
-                      "fdelay", now,
+                      "fdelay", now_,
                       sim::format("\"src\":{},\"extra\":{}", pkt.src,
                                   fate.extraDelay));
-            faultDelayed_.push(now + fate.extraDelay, std::move(pkt));
+            faultDelayed_.push(now_ + fate.extraDelay, std::move(pkt));
             break;
         }
     }
@@ -282,33 +331,45 @@ class Network
     /** Release delay-spiked packets whose hold expired; topologies
      *  call this from step() after their own arrival processing. */
     void
-    flushFaultDelayed(detail::ArrivalQueues<Payload> &arrivals,
-                      sim::Cycle now)
+    flushFaultDelayed()
     {
-        while (!faultDelayed_.empty() && faultDelayed_.minKey() <= now)
+        while (!faultDelayed_.empty() && faultDelayed_.minKey() <= now_)
         {
             Packet<Payload> pkt = faultDelayed_.pop();
-            arrivals.push(pkt.dst, std::move(pkt));
+            arrivals_.push(pkt.dst, std::move(pkt));
         }
     }
 
-    /** Fold the delayed-packet heap into a topology's idle() answer. */
-    bool faultIdle() const { return faultDelayed_.empty(); }
-
-    /** Delay-spiked packets still parked; occupancy() implementations
-     *  fold these into their in-flight count. */
-    std::size_t faultDelayedCount() const { return faultDelayed_.size(); }
-
-    /** Fold the delayed-packet heap into nextDelivery(): a packet
-     *  releasing at cycle key is flushed by step(key - 1). */
+    /**
+     * nextDelivery() once the topology's service queues are empty and
+     * `transit` is its earliest in-flight ready key minus one
+     * (sim::neverCycle when nothing is in transit): `now_` while an
+     * arrival waits to be received, else `transit` clamped to the
+     * earliest delay-hold release (flushed by step(key - 1)).
+     */
     sim::Cycle
-    faultClamp(sim::Cycle next) const
+    nextDeliveryFrom(sim::Cycle transit) const
     {
+        if (!arrivals_.empty())
+            return now_;
         if (faultDelayed_.empty())
-            return next;
-        return std::min(next, faultDelayed_.minKey() - 1);
+            return transit;
+        return std::min(transit, faultDelayed_.minKey() - 1);
     }
 
+    /** occupancy() of a topology with `queued` packets in its service
+     *  queues and `inFlight` in timed transit, plus the undrained
+     *  arrivals (queued) and the delay holds (in flight). */
+    NetOccupancy
+    occupancyFrom(std::size_t queued, std::size_t inFlight) const
+    {
+        return {queued + arrivals_.totalQueued(),
+                inFlight + faultDelayed_.size()};
+    }
+
+    sim::NodeId ports_;
+    sim::Cycle now_ = 0; //!< cycle of the next step(); stamps sends
+    detail::ArrivalQueues<Payload> arrivals_;
     NetStats stats_;
     sim::Tracer *tracer_ = nullptr;
     std::uint32_t tracePid_ = 0;

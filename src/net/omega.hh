@@ -85,7 +85,7 @@ class OmegaNet : public Network<Payload>
      * @param ports  number of ports; must be a power of two, >= 2
      */
     explicit OmegaNet(sim::NodeId ports)
-        : ports_(ports), k_(detail::log2(ports)), arrivals_(ports)
+        : Network<Payload>(ports), k_(detail::log2(ports))
     {
         SIM_ASSERT_MSG(detail::isPow2(ports) && ports >= 2,
                        "omega network needs a power-of-two port count, "
@@ -93,62 +93,35 @@ class OmegaNet : public Network<Payload>
         // stageQueues_[s][line]: packets waiting on `line` at the input
         // of stage s (line numbering is pre-shuffle for that stage).
         stageQueues_.assign(
-            k_, std::vector<sim::RingQueue<Packet<Payload>>>(ports_));
-        rr_.assign(k_, std::vector<std::uint8_t>(ports_ / 2, 0));
+            k_, std::vector<sim::RingQueue<Packet<Payload>>>(ports));
+        rr_.assign(k_, std::vector<std::uint8_t>(ports / 2, 0));
     }
 
-    sim::NodeId numPorts() const override { return ports_; }
     std::uint32_t numStages() const { return k_; }
 
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
     {
-        SIM_ASSERT(src < ports_ && dst < ports_);
-        Packet<Payload> pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.issued = now_;
-        pkt.payload = std::move(payload);
-        this->noteSend(pkt);
-        stageQueues_[0][src].push_back(std::move(pkt));
+        stageQueues_[0][src].push_back(
+            this->stamp(src, dst, std::move(payload)));
     }
 
     void
     step(sim::Cycle now) override
     {
-        now_ = now + 1;
+        this->now_ = now + 1;
 
         // Process the last stage first so a packet advances at most one
         // stage per cycle.
         for (std::uint32_t s = k_; s-- > 0;) {
             auto &lines = stageQueues_[s];
-            for (std::uint32_t sw = 0; sw < ports_ / 2; ++sw) {
+            for (std::uint32_t sw = 0; sw < this->ports_ / 2; ++sw) {
                 serveSwitch(s, sw, lines);
             }
             for (const auto &q : lines)
                 this->stats_.blockedCycles.inc(q.size());
         }
-        this->flushFaultDelayed(arrivals_, now_);
-    }
-
-    std::optional<Payload>
-    receive(sim::NodeId dst) override
-    {
-        auto pkt = arrivals_.pop(dst);
-        if (!pkt)
-            return std::nullopt;
-        this->noteDeliver(*pkt, now_);
-        return std::move(pkt->payload);
-    }
-
-    bool
-    idle() const override
-    {
-        for (const auto &stage : stageQueues_)
-            for (const auto &q : stage)
-                if (!q.empty())
-                    return false;
-        return arrivals_.empty() && this->faultIdle();
+        this->flushFaultDelayed();
     }
 
     sim::Cycle
@@ -159,10 +132,8 @@ class OmegaNet : public Network<Payload>
         for (const auto &stage : stageQueues_)
             for (const auto &q : stage)
                 if (!q.empty())
-                    return now_;
-        if (!arrivals_.empty())
-            return now_;
-        return this->faultClamp(sim::neverCycle);
+                    return this->now_;
+        return this->nextDeliveryFrom(sim::neverCycle);
     }
 
     NetOccupancy
@@ -170,13 +141,11 @@ class OmegaNet : public Network<Payload>
     {
         // Stage queues are the in-flight population here: a packet in
         // stage s has left its source and advances one stage per cycle.
-        NetOccupancy occ;
-        occ.queued = arrivals_.totalQueued();
+        std::size_t inFlight = 0;
         for (const auto &stage : stageQueues_)
             for (const auto &q : stage)
-                occ.inFlight += q.size();
-        occ.inFlight += this->faultDelayedCount();
-        return occ;
+                inFlight += q.size();
+        return this->occupancyFrom(0, inFlight);
     }
 
     void reset() override { sim::state::reset(*this); }
@@ -187,8 +156,8 @@ class OmegaNet : public Network<Payload>
     visitState(V &v)
     {
         Network<Payload>::visitState(v);
-        v(now_, sim::state::fixed(stageQueues_), sim::state::fixed(rr_),
-          arrivals_);
+        v(this->now_, sim::state::fixed(stageQueues_),
+          sim::state::fixed(rr_), this->arrivals_);
     }
 
   private:
@@ -234,21 +203,18 @@ class OmegaNet : public Network<Payload>
             const std::uint32_t out = 2 * sw + bit;
             if (s + 1 == k_) {
                 SIM_ASSERT(out == pkt.dst);
-                this->deliver(arrivals_, std::move(pkt), now_);
+                this->deliver(std::move(pkt));
             } else {
                 stageQueues_[s + 1][out].push_back(std::move(pkt));
             }
         }
     }
 
-    sim::NodeId ports_;
     std::uint32_t k_;
-    sim::Cycle now_ = 0;
     // stageQueues_[s][line]: queue at the input side of stage s.
     std::vector<std::vector<sim::RingQueue<Packet<Payload>>>>
         stageQueues_;
     std::vector<std::vector<std::uint8_t>> rr_;
-    detail::ArrivalQueues<Payload> arrivals_;
 };
 
 } // namespace net

@@ -108,14 +108,12 @@ class ReliableNet : public Network<Payload>
 
     explicit ReliableNet(std::unique_ptr<Network<Env>> inner,
                          RetryConfig cfg = {})
-        : inner_(std::move(inner)), cfg_(cfg)
+        : Network<Payload>(portsOf(inner)), inner_(std::move(inner)),
+          cfg_(cfg)
     {
-        SIM_ASSERT(inner_ != nullptr);
         SIM_ASSERT(cfg_.timeout >= 1);
         SIM_ASSERT(cfg_.maxAttempts >= 1);
     }
-
-    sim::NodeId numPorts() const override { return inner_->numPorts(); }
 
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
@@ -124,24 +122,24 @@ class ReliableNet : public Network<Payload>
         Packet<Payload> logical;
         logical.src = src;
         logical.dst = dst;
-        logical.issued = now_;
+        logical.issued = this->now_;
         this->noteSend(logical);
 
         PendingTx p;
         p.payload = payload; // retransmission copy
-        p.issued = now_;
+        p.issued = this->now_;
         p.attempts = 1;
-        p.deadline = now_ + cfg_.timeout;
+        p.deadline = this->now_ + cfg_.timeout;
         const Key key{src, dst, seq};
         pending_.emplace(key, std::move(p));
-        timers_.push(now_ + cfg_.timeout, key);
+        timers_.push(this->now_ + cfg_.timeout, key);
 
         Env env;
         env.kind = Env::Kind::Data;
         env.origin = src;
         env.target = dst;
         env.seq = seq;
-        env.issued = now_;
+        env.issued = this->now_;
         env.payload = std::move(payload);
         inner_->send(src, dst, std::move(env));
     }
@@ -149,13 +147,13 @@ class ReliableNet : public Network<Payload>
     void
     step(sim::Cycle now) override
     {
-        now_ = now + 1;
+        this->now_ = now + 1;
         inner_->step(now);
         // Fire expired retransmission timers. Each reschedule pushes a
         // fresh heap entry; entries whose deadline no longer matches
         // the pending record (acked or already rescheduled) are stale
         // and purged here.
-        while (!timers_.empty() && timers_.minKey() <= now_) {
+        while (!timers_.empty() && timers_.minKey() <= this->now_) {
             const sim::Cycle due = timers_.minKey();
             const Key key = timers_.pop();
             auto it = pending_.find(key);
@@ -169,7 +167,7 @@ class ReliableNet : public Network<Payload>
             }
             p.attempts += 1;
             relStats_.retransmits.inc();
-            p.deadline = now_ + backoffDelay(cfg_, p.attempts);
+            p.deadline = this->now_ + backoffDelay(cfg_, p.attempts);
             timers_.push(p.deadline, key);
 
             Env env;
@@ -210,7 +208,7 @@ class ReliableNet : public Network<Payload>
             ack.origin = dst;
             ack.target = env->origin;
             ack.seq = env->seq;
-            ack.issued = now_;
+            ack.issued = this->now_;
             inner_->send(dst, env->origin, std::move(ack));
             relStats_.acksSent.inc();
 
@@ -223,7 +221,7 @@ class ReliableNet : public Network<Payload>
             logical.src = env->origin;
             logical.dst = dst;
             logical.issued = env->issued;
-            this->noteDeliver(logical, now_);
+            this->noteDeliver(logical, this->now_);
             return std::move(env->payload);
         }
     }
@@ -297,7 +295,7 @@ class ReliableNet : public Network<Payload>
     visitState(V &v)
     {
         Network<Payload>::visitState(v);
-        v(now_, txSeq_, rxStreams_, pending_, timers_, relStats_);
+        v(this->now_, txSeq_, rxStreams_, pending_, timers_, relStats_);
     }
 
   private:
@@ -369,6 +367,13 @@ class ReliableNet : public Network<Payload>
         }
     };
 
+    static sim::NodeId
+    portsOf(const std::unique_ptr<Network<Env>> &inner)
+    {
+        SIM_ASSERT(inner != nullptr);
+        return inner->numPorts();
+    }
+
     static std::uint64_t
     streamKey(sim::NodeId src, sim::NodeId dst)
     {
@@ -377,7 +382,6 @@ class ReliableNet : public Network<Payload>
 
     std::unique_ptr<Network<Env>> inner_;
     RetryConfig cfg_;
-    sim::Cycle now_ = 0;
     std::map<std::uint64_t, std::uint64_t> txSeq_;
     std::map<std::uint64_t, RxStream> rxStreams_;
     std::map<Key, PendingTx> pending_;

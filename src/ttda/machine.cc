@@ -67,17 +67,6 @@ makeNetwork(const MachineConfig &cfg)
     sim::panic("unknown topology");
 }
 
-/** SplitMix64 finalizer: derive the fault stream's seed from the
- *  machine's root seed when the plan leaves it 0. */
-std::uint64_t
-deriveFaultSeed(std::uint64_t root)
-{
-    std::uint64_t z = root + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 Machine::Machine(const graph::Program &program, MachineConfig config)
@@ -89,12 +78,6 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
                    "on one host thread (got {})",
                    cfg_.threads);
     program_.validate();
-    if (cfg_.faults.enabled()) {
-        sim::fault::FaultPlan plan = cfg_.faults;
-        if (plan.seed == 0)
-            plan.seed = deriveFaultSeed(cfg_.seed);
-        faults_ = std::make_unique<sim::fault::FaultInjector>(plan);
-    }
     if (cfg_.reliableNet) {
         auto rel = std::make_unique<net::ReliableNet<graph::Token>>(
             makeNetwork<net::Envelope<graph::Token>>(cfg_),
@@ -104,8 +87,7 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
     } else {
         net_ = makeNetwork<graph::Token>(cfg_);
     }
-    if (faults_)
-        net_->setFaultInjector(faults_.get());
+    setFaultPlan(cfg_.faults);
     pes_.reserve(cfg_.numPEs);
     for (std::uint32_t p = 0; p < cfg_.numPEs; ++p)
         pes_.push_back(std::make_unique<Pe>(cfg_.isWordsPerPe));
@@ -1120,14 +1102,7 @@ void
 Machine::setFaultPlan(const sim::fault::FaultPlan &plan)
 {
     cfg_.faults = plan;
-    if (cfg_.faults.enabled()) {
-        sim::fault::FaultPlan p = cfg_.faults;
-        if (p.seed == 0)
-            p.seed = deriveFaultSeed(cfg_.seed);
-        faults_ = std::make_unique<sim::fault::FaultInjector>(p);
-    } else {
-        faults_.reset();
-    }
+    faults_ = sim::fault::makeInjector(plan, cfg_.seed);
     net_->setFaultInjector(faults_.get());
 }
 

@@ -81,28 +81,12 @@ makeVnNetwork(const VnMachineConfig &cfg)
     sim::panic("unknown topology");
 }
 
-/** SplitMix64 finalizer: derive the fault stream's seed from the
- *  machine's root seed when the plan leaves it 0. */
-std::uint64_t
-deriveFaultSeed(std::uint64_t root)
-{
-    std::uint64_t z = root + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 VnMachine::VnMachine(VnMachineConfig cfg) : cfg_(cfg)
 {
     SIM_ASSERT_MSG(cfg_.numCores >= 1, "machine needs at least 1 core");
-    if (cfg_.faults.enabled()) {
-        sim::fault::FaultPlan plan = cfg_.faults;
-        if (plan.seed == 0)
-            plan.seed = deriveFaultSeed(cfg_.seed);
-        faults_ = std::make_unique<sim::fault::FaultInjector>(plan);
-    }
+    faults_ = sim::fault::makeInjector(cfg_.faults, cfg_.seed);
     if (cfg_.reliableNet) {
         auto rel = std::make_unique<net::ReliableNet<NetMsg>>(
             makeVnNetwork<net::Envelope<NetMsg>>(cfg_), cfg_.retry);
