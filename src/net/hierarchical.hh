@@ -45,14 +45,11 @@ class HierarchicalNet : public Network<Payload>
     HierarchicalNet(sim::NodeId ports, sim::NodeId cluster_size,
                     sim::Cycle local_latency = 2,
                     sim::Cycle global_latency = 8)
-        : Network<Payload>(ports), clusterSize_(cluster_size),
-          localLatency_(local_latency), globalLatency_(global_latency),
+        : Network<Payload>(clusteredPorts(ports, cluster_size)),
+          clusterSize_(cluster_size), localLatency_(local_latency),
+          globalLatency_(global_latency),
           clusterQueues_(ports / cluster_size)
     {
-        SIM_ASSERT(cluster_size > 0);
-        SIM_ASSERT_MSG(ports % cluster_size == 0,
-                       "ports {} not a multiple of cluster size {}",
-                       ports, cluster_size);
         SIM_ASSERT(local_latency >= 1 && global_latency >= 1);
     }
 
@@ -169,6 +166,20 @@ class HierarchicalNet : public Network<Payload>
     }
 
   private:
+    /** `ports`, checked to split into clusters of `cluster_size`. It
+     *  is the base's argument, so it runs before any initializer
+     *  divides by the cluster size. */
+    static sim::NodeId
+    clusteredPorts(sim::NodeId ports, sim::NodeId cluster_size)
+    {
+        SIM_ASSERT_MSG(cluster_size > 0,
+                       "hierarchical net needs a cluster size >= 1");
+        SIM_ASSERT_MSG(ports % cluster_size == 0,
+                       "ports {} not a multiple of cluster size {}",
+                       ports, cluster_size);
+        return ports;
+    }
+
     enum class Leg : std::uint8_t { SourceBus, GlobalBus, DestBus };
 
     struct Transit

@@ -39,9 +39,9 @@ class Hypercube : public Network<Payload>
      * @param hop_latency  cycles per link traversal (>= 1)
      */
     explicit Hypercube(std::uint32_t dim, sim::Cycle hop_latency = 1)
-        : Network<Payload>(1u << dim), dim_(dim), hopLatency_(hop_latency)
+        : Network<Payload>(cubePorts(dim)), dim_(dim),
+          hopLatency_(hop_latency)
     {
-        SIM_ASSERT(dim >= 1 && dim <= 20);
         SIM_ASSERT(hop_latency >= 1);
         linkQueues_.resize(static_cast<std::size_t>(ports_) * dim_);
         routingTable_.resize(ports_);
@@ -167,6 +167,17 @@ class Hypercube : public Network<Payload>
     }
 
   private:
+    /** 2^dim, once dim is in range: the base's argument, so the check
+     *  runs before the shift. */
+    static sim::NodeId
+    cubePorts(std::uint32_t dim)
+    {
+        SIM_ASSERT_MSG(dim >= 1 && dim <= 20,
+                       "hypercube dimension must be in [1, 20], got {}",
+                       dim);
+        return sim::NodeId{1} << dim;
+    }
+
     struct InFlight
     {
         Packet<Payload> pkt;

@@ -66,6 +66,13 @@ TEST(ReliableNet, LosslessDeliversInOrderWithoutRetransmits)
     EXPECT_TRUE(rel->idle());
 }
 
+TEST(ReliableNet, TakesItsPortCountFromTheInnerFabric)
+{
+    EXPECT_EQ(makeReliable(6)->numPorts(), 6u);
+    // Checked before the inner fabric is asked for its port count.
+    EXPECT_DEATH(ReliableNet<int>(nullptr), "inner != nullptr");
+}
+
 TEST(ReliableNet, BackoffDoublesUpToCap)
 {
     RetryConfig cfg;

@@ -158,6 +158,13 @@ TEST(Hierarchical, RejectsIndivisibleClusterSize)
     EXPECT_DEATH(net::HierarchicalNet<Payload>(10, 4), "multiple");
 }
 
+TEST(Hierarchical, RejectsEmptyClusters)
+{
+    // Checked before the cluster count divides by it.
+    EXPECT_DEATH(net::HierarchicalNet<Payload>(16, 0),
+                 "needs a cluster size >= 1");
+}
+
 TEST(Omega, UncontendedLatencyIsLogN)
 {
     net::OmegaNet<Payload> nw(16);
@@ -230,6 +237,14 @@ TEST_P(HypercubeAllPairs, EveryPairDeliversWithinDiameter)
 
 INSTANTIATE_TEST_SUITE_P(Dims, HypercubeAllPairs,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 7u));
+
+TEST(Hypercube, RejectsDimensionOutOfRange)
+{
+    // Checked before 2^dim is computed, so no shift goes out of range.
+    EXPECT_DEATH(net::Hypercube<Payload>(0), "dimension must be in");
+    EXPECT_DEATH(net::Hypercube<Payload>(21), "dimension must be in");
+    EXPECT_DEATH(net::Hypercube<Payload>(32), "dimension must be in");
+}
 
 TEST(Hypercube, SelfSendDeliversImmediately)
 {
