@@ -30,7 +30,7 @@ parseRate(const std::string &key, const std::string &text)
 {
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v < 0.0 || v > 1.0)
+    if (end == text.c_str() || *end != '\0' || !isRate(v))
         sim::panic("fault plan: {}= wants a rate in [0,1], got '{}'",
                    key, text);
     return v;
@@ -123,6 +123,20 @@ FaultPlan::defaultLossy(std::uint64_t seed)
     plan.delayRate = 0.01;
     plan.delaySpike = 16;
     return plan;
+}
+
+const char *
+FaultPlan::badRate() const
+{
+    const std::pair<const char *, double> rates[] = {
+        {"dropRate", dropRate},
+        {"dupRate", dupRate},
+        {"corruptRate", corruptRate},
+        {"delayRate", delayRate}};
+    for (const auto &[name, rate] : rates)
+        if (!isRate(rate))
+            return name;
+    return nullptr;
 }
 
 FaultPlan

@@ -43,6 +43,14 @@ namespace sim
 namespace fault
 {
 
+/** The one range rule for a per-packet rate: a probability in [0, 1].
+ *  Infinities and NaN fail it. */
+constexpr bool
+isRate(double rate)
+{
+    return rate >= 0.0 && rate <= 1.0;
+}
+
 /** A scheduled (non-probabilistic) fault event. */
 struct Event
 {
@@ -85,6 +93,12 @@ struct FaultPlan
     sim::Cycle delaySpike = 16; //!< extra delay for delayed packets
 
     std::vector<Event> events; //!< scheduled windows
+
+    /** The field name of the first per-packet rate that fails
+     *  isRate(), or nullptr when all four are rates. Plans built field
+     *  by field (the daemon's job specs) are checked with this; parse()
+     *  applies the same rule to each rate it reads. */
+    const char *badRate() const;
 
     /** True when the plan injects anything at all. */
     bool

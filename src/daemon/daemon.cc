@@ -357,6 +357,13 @@ Daemon::specError(const JobSpec &spec) const
     }
     if (const char *bad = workloads::arrivalConfigError(spec.arrival))
         return std::string("arrival ") + bad;
+    if (const char *bad = spec.faults.badRate())
+        return sim::format("faults.{} must be a rate in [0,1]", bad);
+    // Without ReliableNet's dedup, a duplicated token fires again into
+    // a context its first copy already retired, and the worker panics.
+    if (spec.tier == Tier::Ttda && spec.faults.dupRate > 0.0 &&
+        !cfg_.machine.reliableNet)
+        return "faults.dupRate needs a daemon run with --reliable-net";
     return {};
 }
 

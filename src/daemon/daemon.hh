@@ -197,8 +197,9 @@ class Daemon
                      const JobSpec &spec);
     /** Why `spec` would trip an assertion when it runs (an unknown
      *  workload, an argument count the workload does not take, a vn
-     *  job with no loads, an arrival parameter out of range), or
-     *  empty when it is runnable. Submit and restore both check it. */
+     *  job with no loads, an arrival parameter or fault rate out of
+     *  range, duplicates on a bare TTDA fabric), or empty when it is
+     *  runnable. Submit and restore both check it. */
     std::string specError(const JobSpec &spec) const;
     void stopWorkers(); //!< Stop::Immediate unless already stopping
     void joinWorkers();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/fault.hh"
@@ -95,6 +96,28 @@ TEST(FaultPlan, DefaultLossyIsEnabledAndSeeded)
     EXPECT_EQ(plan.seed, 99u);
     EXPECT_GT(plan.dropRate, 0.0);
     EXPECT_GT(plan.dupRate, 0.0);
+}
+
+TEST(FaultPlan, RatesOutsideZeroOneAreRejected)
+{
+    using sim::fault::isRate;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(isRate(0.0) && isRate(0.5) && isRate(1.0));
+    EXPECT_FALSE(isRate(-0.01) || isRate(1.01) || isRate(inf) ||
+                 isRate(-inf) || isRate(nan));
+
+    FaultPlan plan = FaultPlan::defaultLossy(1);
+    EXPECT_EQ(plan.badRate(), nullptr);
+    plan.delayRate = 2.0;
+    EXPECT_STREQ(plan.badRate(), "delayRate");
+    plan.dupRate = nan;
+    EXPECT_STREQ(plan.badRate(), "dupRate");
+
+    // parse() applies the same rule to every rate it reads.
+    EXPECT_DEATH(FaultPlan::parse("drop=1.5"), "wants a rate in");
+    EXPECT_DEATH(FaultPlan::parse("dup=nan"), "wants a rate in");
+    EXPECT_DEATH(FaultPlan::parse("delay=inf"), "wants a rate in");
 }
 
 TEST(FaultInjector, SameSeedSameFateSequence)

@@ -447,6 +447,47 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
     EXPECT_GE(st.get("srv").get("rejected").asU64(), 1u);
 
     h.shutdownAndJoin(c);
+
+    // A client's fault plan must not be able to abort the daemon: on a
+    // bare fabric (no --reliable-net) a duplicated token re-fires into
+    // a retired context, so a TTDA job asking for duplicates is
+    // refused, as is any rate outside [0,1].
+    auto bareCfg = testConfig();
+    bareCfg.machine.reliableNet = false;
+    DaemonHarness bare(bareCfg);
+    Client b(bare.daemon().port());
+    auto clean = fibSubmit(7, 2, 1);
+    clean.set("faults", Value::obj());
+    const Value ok = b.request(clean);
+    ASSERT_TRUE(ok.get("ok").asBool()) << ok.dump();
+    awaitDone(b, ok.get("id").asU64());
+    const auto withFault = [](const char *key, double rate) {
+        auto req = fibSubmit(12, 8, 3);
+        auto faults = Value::obj();
+        faults.set(key, Value::num(rate));
+        faults.set("seed", Value::intNum(3));
+        req.set("faults", std::move(faults));
+        return req;
+    };
+    for (const Value &spec :
+         {withFault("dupRate", 0.05), withFault("dropRate", 1.5),
+          withFault("corruptRate", -0.25), withFault("delayRate", 2.0)})
+    {
+        const Value resp = b.request(spec);
+        EXPECT_FALSE(resp.get("ok").asBool()) << spec.dump();
+    }
+    // An overflowing literal parses to infinity: not a rate either.
+    const std::string inf =
+        R"({"op":"submit","workload":"fib","args":[12],"requests":8,)"
+        R"("faults":{"dropRate":1e999}})" "\n";
+    EXPECT_EQ(::send(b.fd(), inf.data(), inf.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(inf.size()));
+    EXPECT_FALSE(sim::json::parse(b.readLine()).get("ok").asBool());
+
+    const Value bareSt = b.request(statusReq);
+    EXPECT_EQ(bareSt.get("srv").get("admitted").asU64(), 1u);
+    EXPECT_EQ(bareSt.get("srv").get("rejected").asU64(), 5u);
+    bare.shutdownAndJoin(b);
 }
 
 TEST(Daemon, WatchStreamsJobFrames)
