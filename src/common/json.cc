@@ -608,6 +608,10 @@ class Parser
         if (pos_ >= text_.size() || !std::isdigit(
                 static_cast<unsigned char>(text_[pos_])))
             fail("bad number");
+        // RFC 8259: an integer part that starts with 0 is just "0".
+        if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
+            std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))
+            fail("leading zero in number");
         while (pos_ < text_.size() &&
                std::isdigit(static_cast<unsigned char>(text_[pos_])))
             ++pos_;

@@ -13,9 +13,9 @@
  *  - object keys keep insertion order, so dumped documents are
  *    byte-stable across runs (the smoke gate diffs them).
  *
- * Parse errors throw json::Error with a byte offset. The existing
- * tests/common/json_check.hh stays the structural *validator* (it
- * builds no tree); this is the tree for code that must read values.
+ * Parse errors throw json::Error with a byte offset. It is also the
+ * repository's one JSON validator: the tests check emitted documents
+ * (traces, stats, metrics) by parsing them.
  */
 
 #ifndef TTDA_COMMON_JSON_HH

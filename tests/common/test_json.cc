@@ -91,7 +91,7 @@ TEST(Json, MalformedDocumentsRejected)
     for (const char *bad :
          {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "01x",
           "\"unterminated", "{\"a\":1}trailing", "[1 2]", "nul",
-          "\"\\q\"", "1.e5", "- 1", "{1:2}"})
+          "\"\\q\"", "1.e5", "- 1", "{1:2}", "01", "-01", "[0,01]"})
         EXPECT_THROW(parse(bad), Error) << bad;
 }
 

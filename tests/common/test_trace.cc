@@ -8,8 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hh"
 #include "common/trace.hh"
-#include "json_check.hh"
 
 namespace
 {
@@ -37,7 +37,7 @@ TEST(Tracer, EmitsWellFormedJson)
         t.close();
     }
     const std::string json = os.str();
-    EXPECT_TRUE(testutil::isValidJson(json)) << json;
+    EXPECT_NO_THROW(sim::json::parse(json)) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
@@ -57,7 +57,7 @@ TEST(Tracer, CloseIsIdempotentAndDestructorCloses)
         t.close(); // second close must not append a second footer
         // Destructor runs here; it must not write again either.
     }
-    EXPECT_TRUE(testutil::isValidJson(os.str())) << os.str();
+    EXPECT_NO_THROW(sim::json::parse(os.str())) << os.str();
 }
 
 TEST(Tracer, CategoryMaskFiltersEvents)
@@ -82,7 +82,7 @@ TEST(Tracer, CategoryMaskFiltersEvents)
     t.close();
 
     const std::string json = os.str();
-    EXPECT_TRUE(testutil::isValidJson(json)) << json;
+    EXPECT_NO_THROW(sim::json::parse(json)) << json;
     EXPECT_NE(json.find("\"enq\""), std::string::npos);
     EXPECT_NE(json.find("\"defer\""), std::string::npos);
     EXPECT_EQ(json.find("\"dropped\""), std::string::npos);
@@ -115,7 +115,7 @@ TEST(Tracer, SimTraceMacroIsNullSafeAndLazy)
     EXPECT_EQ(evaluations, 1);
     EXPECT_EQ(t.eventCount(), 1u);
     t.close();
-    EXPECT_TRUE(testutil::isValidJson(os.str())) << os.str();
+    EXPECT_NO_THROW(sim::json::parse(os.str())) << os.str();
 }
 
 TEST(Tracer, ParseCategories)
@@ -154,7 +154,7 @@ TEST(Tracer, EscapesEventNames)
     t.attach(os);
     t.instant(sim::Tracer::Sched, 0, 0, "we\"ird\\name", 1);
     t.close();
-    EXPECT_TRUE(testutil::isValidJson(os.str())) << os.str();
+    EXPECT_NO_THROW(sim::json::parse(os.str())) << os.str();
 }
 
 } // namespace

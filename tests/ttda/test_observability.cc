@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "../common/json_check.hh"
+#include "common/json.hh"
 #include "common/trace.hh"
 #include "id/codegen.hh"
 #include "ttda/machine.hh"
@@ -79,7 +79,7 @@ TEST(Observability, IStructureTraceShowsDeferThenServe)
     tracer.close();
 
     const std::string json = trace.str();
-    EXPECT_TRUE(testutil::isValidJson(json));
+    EXPECT_NO_THROW(sim::json::parse(json));
     // The headline story: a read arrived at an Empty cell (defer) and
     // was satisfied later by the store (serve).
     EXPECT_NE(json.find("\"name\":\"defer\""), std::string::npos);
@@ -115,7 +115,7 @@ TEST(Observability, CategoryMaskRestrictsMachineEvents)
     tracer.close();
 
     const std::string json = trace.str();
-    EXPECT_TRUE(testutil::isValidJson(json));
+    EXPECT_NO_THROW(sim::json::parse(json));
     EXPECT_NE(json.find("\"cat\":\"istr\""), std::string::npos);
     EXPECT_EQ(json.find("\"cat\":\"fire\""), std::string::npos);
     EXPECT_EQ(json.find("\"cat\":\"wm\""), std::string::npos);
@@ -176,7 +176,7 @@ TEST(Observability, DumpStatsJsonIsWellFormed)
     std::ostringstream os;
     m.dumpStatsJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testutil::isValidJson(json)) << json;
+    EXPECT_NO_THROW(sim::json::parse(json)) << json;
     EXPECT_NE(json.find("\"machine\""), std::string::npos);
     EXPECT_NE(json.find("\"pe0\""), std::string::npos);
     EXPECT_NE(json.find("\"pe3\""), std::string::npos);
