@@ -81,7 +81,7 @@ struct Event
 struct FaultPlan
 {
     /** Seed for the probabilistic stream. 0 means "derive from the
-     *  machine's root seed" (the machines mix their cfg.seed). */
+     *  machine's root seed" (makeInjector mixes cfg.seed). */
     std::uint64_t seed = 0;
 
     // Per-packet probabilities, applied at the delivery point.

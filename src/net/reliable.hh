@@ -226,10 +226,11 @@ class ReliableNet : public Network<Payload>
         }
     }
 
+    /** Pending sends first: the inner idle() walks every queue. */
     bool
     idle() const override
     {
-        return inner_->idle() && pending_.empty();
+        return pending_.empty() && inner_->idle();
     }
 
     sim::Cycle
