@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "net/ideal.hh"
 #include "net/network.hh"
 #include "net/omega.hh"
+#include "net/reliable.hh"
 
 namespace
 {
@@ -507,15 +509,30 @@ driveTimed(net::Network<Payload> &nw, const std::vector<TimedSend> &sends,
     return got;
 }
 
-/** The traffic statistics as snapshot bytes, for an exact compare. */
+/** Statistics as snapshot bytes, for an exact compare. */
+template <class Stats>
 std::string
-statsBytes(const net::NetStats &stats)
+statsBytes(const Stats &stats)
 {
     sim::snapshot::Writer w;
     sim::state::save(w, stats);
     std::ostringstream os;
     w.finish(os);
     return os.str();
+}
+
+/** The skip-ahead sweep's fault mix: drops, duplicates and delay
+ *  spikes. */
+sim::fault::FaultPlan
+skipFaultPlan(std::uint64_t seed)
+{
+    sim::fault::FaultPlan plan;
+    plan.seed = seed;
+    plan.dropRate = 0.05;
+    plan.dupRate = 0.05;
+    plan.delayRate = 0.10;
+    plan.delaySpike = 30;
+    return plan;
 }
 
 TEST_P(TopologyProperty, SkipAheadMatchesSteppingEveryCycle)
@@ -525,12 +542,8 @@ TEST_P(TopologyProperty, SkipAheadMatchesSteppingEveryCycle)
     // statistics as stepping every cycle, on a bare fabric and under
     // drops, duplicates and delay spikes, with one-cycle and
     // multi-cycle links.
-    sim::fault::FaultPlan plan;
-    plan.seed = 40 + static_cast<std::uint64_t>(GetParam());
-    plan.dropRate = 0.05;
-    plan.dupRate = 0.05;
-    plan.delayRate = 0.10;
-    plan.delaySpike = 30;
+    const sim::fault::FaultPlan plan =
+        skipFaultPlan(40 + static_cast<std::uint64_t>(GetParam()));
     for (const int variant : {0, 1, 2, 3}) {
         const bool faulted = variant & 1;
         const bool slow = variant & 2;
@@ -565,5 +578,77 @@ TEST_P(TopologyProperty, SkipAheadMatchesSteppingEveryCycle)
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyProperty,
                          ::testing::Range(0, 6));
+
+/** The nextDelivery() contract through net::ReliableNet, whose
+ *  retransmit timers bound the skip as well as the inner fabric. */
+class ReliableSkipAhead : public ::testing::TestWithParam<int>
+{
+  public:
+    using Env = net::Envelope<Payload>;
+
+    /** Ideal with jitter (in-flight packets reorder), Ideal without
+     *  jitter at a short and at a 64-cycle latency (every first
+     *  timer fires before its ACK can return), and a Crossbar. */
+    static std::unique_ptr<net::ReliableNet<Payload>>
+    make(int which)
+    {
+        std::unique_ptr<net::Network<Env>> inner;
+        switch (which) {
+          case 0:
+            inner = std::make_unique<net::IdealNetwork<Env>>(16, 4, 9, 11);
+            break;
+          case 1:
+            inner = std::make_unique<net::IdealNetwork<Env>>(16, 7);
+            break;
+          case 2:
+            inner = std::make_unique<net::IdealNetwork<Env>>(16, 64);
+            break;
+          default:
+            inner = std::make_unique<net::Crossbar<Env>>(16, 5);
+            break;
+        }
+        return std::make_unique<net::ReliableNet<Payload>>(
+            std::move(inner));
+    }
+};
+
+TEST_P(ReliableSkipAhead, MatchesSteppingEveryCycle)
+{
+    const sim::fault::FaultPlan plan =
+        skipFaultPlan(70 + static_cast<std::uint64_t>(GetParam()));
+    for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(faulted ? "faulted" : "bare");
+        auto stepped = make(GetParam());
+        auto skipped = make(GetParam());
+        const auto sends =
+            burstyTraffic(stepped->numPorts(), 31 + GetParam());
+        sim::fault::FaultInjector steppedFaults(plan);
+        sim::fault::FaultInjector skippedFaults(plan);
+        if (faulted) {
+            stepped->setFaultInjector(&steppedFaults);
+            skipped->setFaultInjector(&skippedFaults);
+        }
+        std::size_t steppedSteps = 0, skippedSteps = 0;
+        const auto want = driveTimed(*stepped, sends, false, steppedSteps);
+        const auto got = driveTimed(*skipped, sends, true, skippedSteps);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(want.size(), sends.size()) << "not exactly once";
+        EXPECT_EQ(statsBytes(skipped->stats()),
+                  statsBytes(stepped->stats()));
+        EXPECT_EQ(statsBytes(skipped->innerStats()),
+                  statsBytes(stepped->innerStats()));
+        EXPECT_EQ(statsBytes(skipped->relStats()),
+                  statsBytes(stepped->relStats()));
+        if (faulted) {
+            EXPECT_GT(stepped->relStats().retransmits.value(), 0u);
+            EXPECT_EQ(skippedFaults.stats().decisions,
+                      steppedFaults.stats().decisions);
+        }
+        EXPECT_LT(skippedSteps, steppedSteps);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(InnerFabrics, ReliableSkipAhead,
+                         ::testing::Range(0, 4));
 
 } // namespace
