@@ -12,14 +12,16 @@
  *
  * Capacity grows geometrically when full (unbounded queues are a
  * documented machine idealization), relocating the live window to the
- * front of the new buffer. Elements must be movable; moves are used
- * for growth and pop.
+ * front of the new buffer. A queue built with capacity 0 holds no
+ * storage until its first push, for tables of mostly unused queues.
+ * Elements must be movable; moves are used for growth and pop.
  */
 
 #ifndef TTDA_COMMON_RINGQUEUE_HH
 #define TTDA_COMMON_RINGQUEUE_HH
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,9 +35,12 @@ template <typename T>
 class RingQueue
 {
   public:
-    /** @param initial_capacity rounded up to a power of two (min 4). */
+    /** @param initial_capacity rounded up to a power of two (min 4),
+     *  or 0 to allocate on the first push. */
     explicit RingQueue(std::size_t initial_capacity = 8)
     {
+        if (initial_capacity == 0)
+            return;
         std::size_t cap = 4;
         while (cap < initial_capacity)
             cap <<= 1;
@@ -73,7 +78,8 @@ class RingQueue
     pop_front()
     {
         SIM_ASSERT_MSG(size_ > 0, "pop_front() on an empty RingQueue");
-        buf_[head_] = T{}; // release held resources promptly
+        if constexpr (!std::is_trivially_destructible_v<T>)
+            buf_[head_] = T{}; // release held resources promptly
         head_ = (head_ + 1) & (buf_.size() - 1);
         --size_;
     }
@@ -87,19 +93,25 @@ class RingQueue
     }
 
     /** Element `i` positions behind the front (0 == front). */
-    const T &
-    at(std::size_t i) const
+    T &
+    at(std::size_t i)
     {
         SIM_ASSERT_MSG(i < size_, "RingQueue::at({}) with size {}", i,
                        size_);
         return buf_[(head_ + i) & (buf_.size() - 1)];
     }
 
+    const T &
+    at(std::size_t i) const
+    {
+        return const_cast<RingQueue *>(this)->at(i);
+    }
+
   private:
     void
     grow()
     {
-        std::vector<T> next(buf_.size() * 2);
+        std::vector<T> next(buf_.empty() ? 4 : buf_.size() * 2);
         for (std::size_t i = 0; i < size_; ++i)
             next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
         buf_ = std::move(next);

@@ -6,7 +6,7 @@
  *
  *     offset  size  field
  *          0     8  magic "TTDASNAP"
- *          8     4  format version (little-endian u32, currently 2)
+ *          8     4  format version (little-endian u32, currently 3)
  *         12     2  endianness tag: bytes {0x02, 0x01} = little-endian
  *         14     8  payload length in bytes (little-endian u64)
  *         22     N  payload
@@ -49,7 +49,7 @@ class Error : public std::runtime_error
 
 inline constexpr char kMagic[8] = {'T', 'T', 'D', 'A',
                                    'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 /** Byte sequence identifying the payload byte order; this writer only
  *  ever produces little-endian payloads. */
 inline constexpr unsigned char kEndianTag[2] = {0x02, 0x01};

@@ -29,6 +29,7 @@
 #ifndef TTDA_MEM_ISTRUCTURE_HH
 #define TTDA_MEM_ISTRUCTURE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -258,7 +259,12 @@ class IStructure
     /** The sparse cell array. Its checkpoint codec writes only the
      *  cells that differ from Empty, as (address, cell) pairs in
      *  ascending address order; loading validates every address and
-     *  materializes only the chunks the stream touches. */
+     *  materializes only the chunks the stream touches.
+     *
+     *  Every cell at or above the high-water mark `touched` is Empty,
+     *  so the walks (reset, parked-read counts, snapshots) stop there:
+     *  they cost the prefix a run touched, not the materialized
+     *  chunks. */
     struct CellStore
     {
         explicit CellStore(std::size_t n)
@@ -275,6 +281,7 @@ class IStructure
             auto &chunk = chunks[addr / kChunkWords];
             if (!chunk)
                 chunk = std::make_unique<Cell[]>(kChunkWords);
+            touched = std::max(touched, addr + 1);
             return chunk[addr % kChunkWords];
         }
 
@@ -292,38 +299,43 @@ class IStructure
             return chunk[addr % kChunkWords];
         }
 
-        /** Visit every materialized cell that differs from the default
-         *  all-Empty state, in ascending address order. */
+        /** Visit every cell below the high-water mark that differs
+         *  from the default all-Empty state, in ascending address
+         *  order. */
         template <typename F>
         void
         forEachLive(F &&f) const
         {
-            for (std::size_t c = 0; c < chunks.size(); ++c) {
-                if (!chunks[c])
+            for (std::uint64_t addr = 0; addr < touched; ++addr) {
+                const auto &chunk = chunks[addr / kChunkWords];
+                if (!chunk) {
+                    addr = (addr / kChunkWords + 1) * kChunkWords - 1;
                     continue;
-                for (std::size_t i = 0; i < kChunkWords; ++i) {
-                    const Cell &cell = chunks[c][i];
-                    if (cell.presence != Presence::Empty ||
-                        !cell.deferred.empty())
-                        f(c * kChunkWords + i, cell);
                 }
+                const Cell &cell = chunk[addr % kChunkWords];
+                if (cell.presence != Presence::Empty ||
+                    !cell.deferred.empty())
+                    f(addr, cell);
             }
         }
 
-        /** Every cell back to Empty, keeping the materialized chunks
-         *  and each cell's deferred-list capacity: the serving fast
-         *  path resets a machine between epochs, and re-materializing
-         *  the chunks was exactly the construction cost chunking
-         *  removed. */
+        /** Every touched cell back to Empty, keeping the materialized
+         *  chunks and each cell's deferred-list capacity: the serving
+         *  fast path resets a machine between epochs, and
+         *  re-materializing the chunks was exactly the construction
+         *  cost chunking removed. */
         void
         reset()
         {
-            for (auto &chunk : chunks) {
-                if (!chunk)
+            for (std::uint64_t addr = 0; addr < touched; ++addr) {
+                auto &chunk = chunks[addr / kChunkWords];
+                if (!chunk) {
+                    addr = (addr / kChunkWords + 1) * kChunkWords - 1;
                     continue;
-                for (std::size_t i = 0; i < kChunkWords; ++i)
-                    sim::state::reset(chunk[i]);
+                }
+                sim::state::reset(chunk[addr % kChunkWords]);
             }
+            touched = 0;
         }
 
         template <class W>
@@ -355,6 +367,7 @@ class IStructure
 
         std::size_t words;
         std::vector<std::unique_ptr<Cell[]>> chunks;
+        std::uint64_t touched = 0; //!< 1 + highest address written
     };
 
     CellStore cells_;

@@ -134,11 +134,13 @@ class Network
     virtual std::optional<Payload>
     receive(sim::NodeId dst)
     {
-        auto pkt = arrivals_.pop(dst);
-        if (!pkt)
+        Packet<Payload> *pkt = arrivals_.front(dst);
+        if (pkt == nullptr)
             return std::nullopt;
-        noteDeliver(*pkt, now_);
-        return std::move(pkt->payload);
+        noteDeliver(pkt->src, pkt->dst, pkt->issued, pkt->hops, now_);
+        std::optional<Payload> payload(std::move(pkt->payload));
+        arrivals_.popFront(dst);
+        return payload;
     }
 
     /** True when no packets are queued or in flight anywhere. */
@@ -241,37 +243,34 @@ class Network
     stamp(sim::NodeId src, sim::NodeId dst, Payload payload)
     {
         SIM_ASSERT(src < ports_ && dst < ports_);
-        Packet<Payload> pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.issued = now_;
-        pkt.payload = std::move(payload);
-        noteSend(pkt);
-        return pkt;
+        noteSend(src, dst, now_);
+        return Packet<Payload>{src, dst, now_, 0, std::move(payload)};
     }
 
-    /** Count `pkt` as sent and emit its `inj` trace event. */
+    /** Count a packet from src to dst issued at `issued` as sent and
+     *  emit its `inj` trace event. */
     void
-    noteSend(const Packet<Payload> &pkt)
+    noteSend(sim::NodeId src, sim::NodeId dst, sim::Cycle issued)
     {
         stats_.sent.inc();
-        SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.src, "inj",
-                  pkt.issued, sim::format("\"dst\":{}", pkt.dst));
+        SIM_TRACE(tracer_, Net, instant, tracePid_, src, "inj", issued,
+                  sim::format("\"dst\":{}", dst));
     }
 
     /**
-     * Count `pkt` as delivered at `now`: the delivered/latency/hops
+     * Count a packet as delivered at `now`: the delivered/latency/hops
      * statistics and the `dlv` trace event, for receive().
      */
     void
-    noteDeliver(const Packet<Payload> &pkt, sim::Cycle now)
+    noteDeliver(sim::NodeId src, sim::NodeId dst, sim::Cycle issued,
+                std::uint32_t hops, sim::Cycle now)
     {
         stats_.delivered.inc();
-        stats_.latency.sample(static_cast<double>(now - pkt.issued));
-        stats_.hops.sample(static_cast<double>(pkt.hops));
-        SIM_TRACE(tracer_, Net, instant, tracePid_, pkt.dst, "dlv", now,
+        stats_.latency.sample(static_cast<double>(now - issued));
+        stats_.hops.sample(static_cast<double>(hops));
+        SIM_TRACE(tracer_, Net, instant, tracePid_, dst, "dlv", now,
                   sim::format("\"src\":{},\"lat\":{},\"hops\":{}",
-                              pkt.src, now - pkt.issued, pkt.hops));
+                              src, now - issued, hops));
     }
 
     /**
@@ -393,16 +392,15 @@ class ArrivalQueues
         queues_[dst].push_back(std::move(pkt));
     }
 
-    std::optional<Packet<Payload>>
-    pop(sim::NodeId dst)
+    /** The oldest packet waiting at dst, or null. */
+    Packet<Payload> *
+    front(sim::NodeId dst)
     {
         auto &q = queues_[dst];
-        if (q.empty())
-            return std::nullopt;
-        Packet<Payload> pkt = std::move(q.front());
-        q.pop_front();
-        return pkt;
+        return q.empty() ? nullptr : &q.front();
     }
+
+    void popFront(sim::NodeId dst) { queues_[dst].pop_front(); }
 
     bool
     empty() const

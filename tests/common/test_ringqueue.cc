@@ -28,6 +28,22 @@ TEST(RingQueue, StartsEmptyWithPow2Capacity)
     EXPECT_EQ(odd.capacity(), 16u); // round up to pow2
 }
 
+TEST(RingQueue, ZeroCapacityAllocatesOnFirstPush)
+{
+    sim::RingQueue<int> q(0);
+    EXPECT_EQ(q.capacity(), 0u);
+    q.clear();
+    EXPECT_EQ(q.capacity(), 0u);
+    for (int i = 0; i < 5; ++i)
+        q.push_back(i);
+    EXPECT_EQ(q.capacity(), 8u);
+    q.at(2) = 20;
+    for (const int want : {0, 1, 20, 3, 4}) {
+        EXPECT_EQ(q.front(), want);
+        q.pop_front();
+    }
+}
+
 TEST(RingQueue, FifoOrder)
 {
     sim::RingQueue<int> q;

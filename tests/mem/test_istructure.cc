@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.hh"
+#include "common/snapshot.hh"
+#include "common/state.hh"
 #include "mem/istructure.hh"
 
 namespace
@@ -235,6 +241,73 @@ TEST(IStructureController, DedupAbsorbsReplayedIdenticalStore)
     drain(bare, served2);
     EXPECT_EQ(bare.dupStores(), 0u);
     EXPECT_EQ(bare.storage().stats().multipleWrites.value(), 1u);
+}
+
+/** A store's run state as snapshot bytes, for an exact compare. */
+template <class Store>
+std::string
+snapshotBytes(const Store &store)
+{
+    sim::snapshot::Writer w;
+    sim::state::save(w, store);
+    std::ostringstream os;
+    w.finish(os);
+    return os.str();
+}
+
+TEST(IStructure, TouchedWalksMatchEveryCell)
+{
+    // Seeded fetch/store/clear traffic over three address clusters:
+    // the first chunk, the third (the second is never materialized)
+    // and the last. After every operation the parked-read count must
+    // equal the deferred lists summed over every address; after a
+    // reset the store must snapshot like a fresh one, and replaying
+    // the traffic must match a fresh store's replay byte for byte.
+    using Store = mem::IStructure<std::uint64_t>;
+    constexpr std::size_t kWords = 3 * 4096 + 100;
+    const std::uint64_t bases[] = {0, 2 * 4096 + 7, kWords - 40};
+    auto traffic = [&](Store &is, std::uint64_t seed) {
+        sim::Rng rng(seed);
+        std::vector<std::pair<std::uint64_t, mem::Word>> out;
+        for (std::uint64_t op = 0; op < 500; ++op) {
+            const std::uint64_t addr = bases[rng.below(3)] + rng.below(40);
+            switch (rng.below(8)) {
+              case 0:
+                is.clear(addr, std::min<std::size_t>(1 + rng.below(16),
+                                                     kWords - addr));
+                break;
+              case 1:
+              case 2:
+              case 3:
+                is.store(addr, op, out);
+                break;
+              default:
+                is.fetch(addr, op, out);
+                break;
+            }
+            std::size_t parked = 0;
+            for (std::uint64_t a = 0; a < kWords; ++a)
+                parked += is.deferredList(a).size();
+            ASSERT_EQ(is.outstandingReads(), parked) << "op " << op;
+        }
+    };
+    for (const std::uint64_t seed : {3, 17, 29, 101}) {
+        SCOPED_TRACE(seed);
+        Store used(kWords);
+        traffic(used, seed);
+        ASSERT_GT(used.outstandingReads(), 0u);
+        sim::state::reset(used);
+        const Store fresh(kWords);
+        EXPECT_EQ(used.outstandingReads(), 0u);
+        EXPECT_TRUE(used.deferredAddresses().empty());
+        EXPECT_EQ(snapshotBytes(used), snapshotBytes(fresh));
+
+        Store replay(kWords);
+        traffic(used, seed + 1);
+        traffic(replay, seed + 1);
+        EXPECT_EQ(snapshotBytes(used), snapshotBytes(replay));
+        EXPECT_EQ(used.deferredAddresses(), replay.deferredAddresses());
+    }
 }
 
 } // namespace

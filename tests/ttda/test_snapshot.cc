@@ -484,10 +484,10 @@ TEST_P(SnapshotFuzz, MutatedPayloadIsAcceptedOrRejectedCleanly)
 
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, SnapshotFuzz,
-    ::testing::Values(FuzzExpect{matrix::Topology::Ideal, 253, 147},
-                      FuzzExpect{matrix::Topology::Crossbar, 259, 141},
-                      FuzzExpect{matrix::Topology::Hypercube, 238, 162},
-                      FuzzExpect{matrix::Topology::Omega, 245, 155},
-                      FuzzExpect{matrix::Topology::Hierarchical, 248, 152}));
+    ::testing::Values(FuzzExpect{matrix::Topology::Ideal, 210, 190},
+                      FuzzExpect{matrix::Topology::Crossbar, 240, 160},
+                      FuzzExpect{matrix::Topology::Hypercube, 218, 182},
+                      FuzzExpect{matrix::Topology::Omega, 229, 171},
+                      FuzzExpect{matrix::Topology::Hierarchical, 242, 158}));
 
 } // namespace
