@@ -168,11 +168,18 @@ resultTotals(const JobResult &result)
 
 Daemon::Daemon(const DaemonConfig &cfg) : cfg_(cfg)
 {
-    workloadCb_["trapezoid"] = workloads::buildTrapezoid(program_);
-    workloadCb_["producer-consumer"] =
-        workloads::buildProducerConsumer(program_);
-    workloadCb_["fib"] = workloads::buildFib(program_);
-    workloadCb_["vector-sum"] = workloads::buildVectorSum(program_);
+    using P = Param;
+    workloads_["trapezoid"] = {workloads::buildTrapezoid(program_),
+                               {P::Number, P::Number, P::Count}};
+    workloads_["producer-consumer"] = {
+        workloads::buildProducerConsumer(program_), {P::Size}};
+    workloads_["fib"] = {workloads::buildFib(program_), {P::Number}};
+    workloads_["vector-sum"] = {workloads::buildVectorSum(program_),
+                                {P::Size}};
+    for (const auto &[name, w] : workloads_)
+        SIM_ASSERT_MSG(w.params.size() ==
+                           program_.codeBlock(w.cb).numParams,
+                       "workload {} parameter list", name);
 }
 
 Daemon::~Daemon()
@@ -330,7 +337,7 @@ Daemon::runJob(unsigned worker, std::uint64_t id, const JobSpec &spec)
         return serve::runVnJob(cfg_.vnMachine, job);
     }
     serve::FleetJob job;
-    job.cb = workloadCb_.at(spec.workload);
+    job.cb = workloads_.at(spec.workload).cb;
     job.faults = spec.faults; // already resolved at admission
     job.requests.reserve(arrivals.size());
     for (const sim::Cycle at : arrivals)
@@ -343,15 +350,50 @@ Daemon::runJob(unsigned worker, std::uint64_t id, const JobSpec &spec)
 std::string
 Daemon::specError(const JobSpec &spec) const
 {
+    if (spec.requests == 0)
+        return "requests must be >= 1";
     if (spec.tier == Tier::Ttda) {
-        const auto it = workloadCb_.find(spec.workload);
-        if (it == workloadCb_.end())
+        const auto it = workloads_.find(spec.workload);
+        if (it == workloads_.end())
             return "unknown workload \"" + spec.workload + "\"";
-        const std::size_t params =
-            program_.codeBlock(it->second).numParams;
-        if (spec.args.size() != params)
+        const std::vector<Param> &params = it->second.params;
+        if (spec.args.size() != params.size())
             return sim::format("workload \"{}\" takes {} args, got {}",
-                               spec.workload, params, spec.args.size());
+                               spec.workload, params.size(),
+                               spec.args.size());
+        // Every request of the job allocates its Size arguments' arrays
+        // on the one replica that runs it.
+        const std::uint64_t store =
+            static_cast<std::uint64_t>(cfg_.machine.numPEs) *
+            cfg_.machine.isWordsPerPe;
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            const graph::Value &arg = spec.args[i];
+            if (params[i] == Param::Number) {
+                if (!arg.isNumeric())
+                    return sim::format("workload \"{}\" arg {} must be "
+                                       "a number",
+                                       spec.workload, i);
+                continue;
+            }
+            if (!arg.isInt())
+                return sim::format("workload \"{}\" arg {} must be an "
+                                   "integer",
+                                   spec.workload, i);
+            const std::int64_t n = arg.asInt();
+            if (params[i] == Param::Count && n < 1)
+                return sim::format("workload \"{}\" arg {} must be >= 1",
+                                   spec.workload, i);
+            if (params[i] == Param::Size && n < 0)
+                return sim::format("workload \"{}\" arg {} is a "
+                                   "negative size",
+                                   spec.workload, i);
+            if (params[i] == Param::Size &&
+                static_cast<std::uint64_t>(n) > store / spec.requests)
+                return sim::format(
+                    "workload \"{}\": {} requests of size {} exceed the "
+                    "{}-word structure store",
+                    spec.workload, spec.requests, n, store);
+        }
     } else if (spec.vnLoads == 0) {
         return "loads must be >= 1";
     }
@@ -397,8 +439,6 @@ Daemon::opSubmit(const sim::json::Value &req)
     }
     if (req.has("requests"))
         spec.requests = req.get("requests").asU64();
-    if (spec.requests == 0)
-        return reject("requests must be >= 1");
     if (spec.requests > cfg_.maxRequestsPerJob)
         return reject(
             sim::format("requests exceed the per-job cap ({} > {})",

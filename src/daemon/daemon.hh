@@ -197,9 +197,11 @@ class Daemon
                      const JobSpec &spec);
     /** Why `spec` would trip an assertion when it runs (an unknown
      *  workload, an argument count the workload does not take, a vn
-     *  job with no loads, an arrival parameter or fault rate out of
-     *  range, duplicates on a bare TTDA fabric), or empty when it is
-     *  runnable. Submit and restore both check it. */
+     *  job with no loads, an argument the workload cannot take or
+     *  whose arrays overflow the replica's structure store, an arrival
+     *  parameter or fault rate out of range, duplicates on a bare TTDA
+     *  fabric), or empty when it is runnable. Submit and restore both
+     *  check it. */
     std::string specError(const JobSpec &spec) const;
     void stopWorkers(); //!< Stop::Immediate unless already stopping
     void joinWorkers();
@@ -220,7 +222,21 @@ class Daemon
 
     DaemonConfig cfg_;
     graph::Program program_; //!< all named workloads, built once
-    std::map<std::string, std::uint16_t> workloadCb_;
+    /** What one argument of a workload's main() may be. */
+    enum class Param : std::uint8_t {
+        Number, //!< an integer or a real
+        Count,  //!< an integer >= 1
+        Size,   //!< an integer >= 0 that sizes one array per request
+    };
+
+    /** A named TTDA workload: its code block and its parameters. */
+    struct Workload
+    {
+        std::uint16_t cb = 0;
+        std::vector<Param> params;
+    };
+
+    std::map<std::string, Workload> workloads_;
     /** One per worker; built in start() before any worker runs. */
     std::vector<serve::TtdaReplica> replicas_;
 

@@ -419,6 +419,33 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
     malformed.push_back(withArrival("bursty", "burstScale", Value::num(2.0)));
     malformed.push_back(
         withArrival("diurnal", "diurnalDepth", Value::num(1.0)));
+    // Arguments a workload cannot take: wrong types, negative sizes,
+    // arrays that overflow the replica's structure store, and a
+    // trapezoid over zero intervals (an integer division by zero).
+    const auto withArgs = [](const char *workload,
+                             std::vector<Value> args) {
+        auto req = fibSubmit(7, 2, 1);
+        req.set("workload", Value::str(workload));
+        auto arr = Value::arr();
+        for (Value &a : args)
+            arr.push(std::move(a));
+        req.set("args", std::move(arr));
+        return req;
+    };
+    malformed.push_back(withArgs("vector-sum", {Value::intNum(1, true)}));
+    malformed.push_back(
+        withArgs("vector-sum", {Value::intNum(5000000000ULL)}));
+    malformed.push_back(withArgs("vector-sum", {Value::num(2.5)}));
+    malformed.push_back(withArgs("vector-sum", {Value::boolean(true)}));
+    malformed.push_back(
+        withArgs("producer-consumer", {Value::intNum(2, true)}));
+    malformed.push_back(withArgs("fib", {Value::boolean(true)}));
+    malformed.push_back(withArgs(
+        "trapezoid", {Value::boolean(true), Value::num(2.5),
+                      Value::intNum(4)}));
+    malformed.push_back(withArgs(
+        "trapezoid", {Value::intNum(0), Value::intNum(1),
+                      Value::intNum(0)}));
     for (const Value &spec : malformed) {
         const Value resp = c.request(spec);
         EXPECT_FALSE(resp.get("ok").asBool()) << spec.dump();
