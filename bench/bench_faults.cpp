@@ -18,8 +18,14 @@
  * Results are written as machine-readable JSON (BENCH_faults.json by
  * default, or argv[1]) in the BENCH_core.json style; the zero-fault
  * configs feed scripts/bench_guard.sh's regression check.
+ *
+ * Two more rows, under "ratios", price the reliability layer itself:
+ * the zero-fault TTDA and vn runs timed reliable over bare in one
+ * process, their reps interleaved so both sides see the same host
+ * phase. bench_guard.sh gates each ratio against its committed row.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -46,8 +52,28 @@ struct Result
     double slowdown = 0.0;       //!< simCycles / same variant at rate 0
 };
 
+/** Reliable over bare host time at drop rate 0, from one process. */
+struct Ratio
+{
+    std::string name;
+    double relMs = 0.0;  //!< best-of-kRatioReps reliable wall time
+    double bareMs = 0.0; //!< best-of-kRatioReps bare wall time
+};
+
 constexpr int kReps = 3;
+constexpr int kRatioReps = 24;
 constexpr std::uint64_t kFaultSeed = 0xFA17;
+
+/** Wall-clock milliseconds of one run of `body`. */
+template <typename F>
+double
+timeMs(F &&body)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
 
 /** Time `body` kReps times; returns the best wall-clock milliseconds. */
 template <typename F>
@@ -56,15 +82,27 @@ bestMs(F &&body)
 {
     double best = 0.0;
     for (int r = 0; r < kReps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        const double ms = timeMs(body);
         if (r == 0 || ms < best)
             best = ms;
     }
     return best;
+}
+
+/** Best-of-kRatioReps times of `bare` and `rel`, alternating. */
+template <typename Bare, typename Rel>
+Ratio
+interleaved(const std::string &name, Bare &&bare, Rel &&rel)
+{
+    Ratio r;
+    r.name = name;
+    for (int i = 0; i < kRatioReps; ++i) {
+        const double b = timeMs(bare);
+        const double l = timeMs(rel);
+        r.bareMs = i == 0 ? b : std::min(r.bareMs, b);
+        r.relMs = i == 0 ? l : std::min(r.relMs, l);
+    }
+    return r;
 }
 
 /** The sweep's plan at one drop rate: duplicates at half the drop
@@ -84,14 +122,35 @@ planAt(double rate)
     return plan;
 }
 
+/** The sweep's TTDA machine, before options and faults. */
+ttda::MachineConfig
+ttdaBase()
+{
+    ttda::MachineConfig cfg;
+    cfg.numPEs = 4;
+    cfg.netLatency = 2;
+    return cfg;
+}
+
+/** The sweep's vn machine, before options and faults. */
+vn::VnMachineConfig
+vnBase()
+{
+    vn::VnMachineConfig cfg;
+    cfg.numCores = 4;
+    cfg.topology = vn::VnMachineConfig::Topology::Ideal;
+    cfg.netLatency = 8;
+    cfg.core.numContexts = 1;
+    cfg.wordsPerModule = 4096;
+    return cfg;
+}
+
 Result
 ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
            const std::string &name, double rate, bool reliable,
            std::int64_t n)
 {
-    ttda::MachineConfig cfg;
-    cfg.numPEs = 4;
-    cfg.netLatency = 2;
+    ttda::MachineConfig cfg = ttdaBase();
     opts.apply(cfg);
     // The sweep's own fault matrix wins over --fault-seed/--reliable:
     // the sweep *is* the benchmark.
@@ -125,12 +184,7 @@ Result
 vnConfig(bench::SimOptions &opts, const std::string &name,
          double rate, bool reliable, std::uint64_t references)
 {
-    vn::VnMachineConfig cfg;
-    cfg.numCores = 4;
-    cfg.topology = vn::VnMachineConfig::Topology::Ideal;
-    cfg.netLatency = 8;
-    cfg.core.numContexts = 1;
-    cfg.wordsPerModule = 4096;
+    vn::VnMachineConfig cfg = vnBase();
     opts.apply(cfg);
     cfg.faults = planAt(rate);
     cfg.reliableNet = reliable;
@@ -157,8 +211,38 @@ vnConfig(bench::SimOptions &opts, const std::string &name,
     return r;
 }
 
+/** The zero-fault TTDA and vn runs, reliable over bare. The configs
+ *  take no command-line options, so tracing or stats flags never
+ *  reach these extra runs. */
+std::vector<Ratio>
+relOverBare(const id::Compiled &compiled, std::int64_t n,
+            std::uint64_t references)
+{
+    const auto ttda = [&](bool reliable) {
+        ttda::MachineConfig cfg = ttdaBase();
+        cfg.faults = planAt(0.0);
+        cfg.reliableNet = reliable;
+        return [&compiled, n, cfg] {
+            ttda::Machine m(compiled.program, cfg);
+            m.input(compiled.startCb, 0, graph::Value{n});
+            m.run();
+        };
+    };
+    const auto vn = [references](bool reliable) {
+        vn::VnMachineConfig cfg = vnBase();
+        cfg.faults = planAt(0.0);
+        cfg.reliableNet = reliable;
+        return [references, cfg] {
+            bench::runVnTrace(cfg, references, 3, 1.0);
+        };
+    };
+    return {interleaved("ttda_rel_over_bare", ttda(false), ttda(true)),
+            interleaved("vn_rel_over_bare", vn(false), vn(true))};
+}
+
 bool
-writeJson(const std::vector<Result> &results, const std::string &path)
+writeJson(const std::vector<Result> &results,
+          const std::vector<Ratio> &ratios, const std::string &path)
 {
     std::ofstream os(path);
     if (!os) {
@@ -185,6 +269,17 @@ writeJson(const std::vector<Result> &results, const std::string &path)
            << "      \"slowdown\": " << r.slowdown << ",\n"
            << "      \"hostMs\": " << r.hostMs << "\n"
            << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+    }
+    os << "  ],\n  \"ratios\": [\n";
+    for (std::size_t i = 0; i < ratios.size(); ++i) {
+        const Ratio &r = ratios[i];
+        os << "    {\n"
+           << "      \"name\": \"" << r.name << "\",\n"
+           << "      \"reps\": " << kRatioReps << ",\n"
+           << "      \"relMs\": " << r.relMs << ",\n"
+           << "      \"bareMs\": " << r.bareMs << ",\n"
+           << "      \"ratio\": " << r.relMs / r.bareMs << "\n"
+           << "    }" << (i + 1 < ratios.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.good();
@@ -262,7 +357,18 @@ main(int argc, char **argv)
                   sim::Table::num(r.hostMs, 3)});
     t.print(std::cout);
 
-    if (!writeJson(results, out))
+    const std::vector<Ratio> ratios = relOverBare(compiled, 12, 500);
+    sim::Table rt("Reliable over bare at drop 0, one process (best of " +
+                  std::to_string(kRatioReps) + " interleaved)");
+    rt.header({"ratio", "bare ms", "reliable ms", "reliable / bare"});
+    for (const Ratio &r : ratios)
+        rt.addRow({r.name, sim::Table::num(r.bareMs, 3),
+                   sim::Table::num(r.relMs, 3),
+                   sim::Table::num(r.relMs / r.bareMs, 3)});
+    std::cout << "\n";
+    rt.print(std::cout);
+
+    if (!writeJson(results, ratios, out))
         return 1;
     std::cout << "\nwrote " << out << "\n";
     return 0;

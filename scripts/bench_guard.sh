@@ -11,6 +11,12 @@
 # same-process measurements, so it is far less host-sensitive than raw
 # hostMs — a drop means the threaded-code tier itself got slower.
 #
+# The fault sweep's same-process reliable/bare ratios
+# (BENCH_faults.json "ratios") are gated like the reset-reuse ratio:
+# each must not rise above its committed row by more than the
+# threshold, so the reliability layer cannot slide back to its old
+# cost unnoticed.
+#
 # The serving benchmark (BENCH_serve.json) is guarded too: zero-fault
 # serving rows are hostMs-gated like bench_core configs, the
 # reset-reuse row is gated on its fresh/reuse speedup ratio (a
@@ -75,16 +81,36 @@ current = {r["name"]: r for r in json.load(open(current_path))["runs"]}
 if len(sys.argv) > 5:
     faults_baseline_path, faults_current_path = sys.argv[4], sys.argv[5]
     try:
-        fb = json.load(open(faults_baseline_path))["runs"]
+        fbase = json.load(open(faults_baseline_path))
     except FileNotFoundError:
         print(f"bench_guard: note: no {faults_baseline_path}; "
               "skipping fault-bench guard")
-        fb = []
-    fc = json.load(open(faults_current_path))["runs"]
-    baseline.update({r["name"]: r for r in fb if r["dropRate"] == 0})
-    current.update({r["name"]: r for r in fc if r["dropRate"] == 0})
+        fbase = {"runs": []}
+    fcur = json.load(open(faults_current_path))
+    baseline.update({r["name"]: r for r in fbase["runs"]
+                     if r["dropRate"] == 0})
+    current.update({r["name"]: r for r in fcur["runs"]
+                    if r["dropRate"] == 0})
 
 failed = []
+
+# Reliable-over-bare guard: each same-process ratio must not rise
+# above its committed row by more than the threshold.
+if len(sys.argv) > 5:
+    rc = {r["name"]: r for r in fcur.get("ratios", [])}
+    for base in sorted(fbase.get("ratios", []), key=lambda r: r["name"]):
+        cur = rc.get(base["name"])
+        if cur is None:
+            print(f"bench_guard: note: ratio baseline '{base['name']}' "
+                  "not in current run")
+            continue
+        ratio = cur["ratio"] / base["ratio"] if base["ratio"] > 0 else 1.0
+        verdict = "FAIL" if ratio > 1 + threshold / 100 else "ok"
+        print(f"bench_guard: {verdict:4} {base['name']:24} rel/bare "
+              f"{base['ratio']:8.2f}x -> {cur['ratio']:8.2f}x "
+              f" ({ratio:5.2f}x)")
+        if verdict == "FAIL":
+            failed.append(base["name"])
 
 # Emulation-tier guard: speedup (interp time / tier time, same
 # process) must not fall below baseline by more than the threshold.
