@@ -299,24 +299,33 @@ class IStructure
             return chunk[addr % kChunkWords];
         }
 
-        /** Visit every cell below the high-water mark that differs
-         *  from the default all-Empty state, in ascending address
-         *  order. */
-        template <typename F>
-        void
-        forEachLive(F &&f) const
+        /** Call f(addr, cell) on every materialized cell below the
+         *  high-water mark, in ascending address order. */
+        template <class Self, typename F>
+        static void
+        forEachTouched(Self &s, F &&f)
         {
-            for (std::uint64_t addr = 0; addr < touched; ++addr) {
-                const auto &chunk = chunks[addr / kChunkWords];
+            for (std::uint64_t addr = 0; addr < s.touched; ++addr) {
+                auto &chunk = s.chunks[addr / kChunkWords];
                 if (!chunk) {
                     addr = (addr / kChunkWords + 1) * kChunkWords - 1;
                     continue;
                 }
-                const Cell &cell = chunk[addr % kChunkWords];
+                f(addr, chunk[addr % kChunkWords]);
+            }
+        }
+
+        /** Visit every cell that differs from the default all-Empty
+         *  state, in ascending address order. */
+        template <typename F>
+        void
+        forEachLive(F &&f) const
+        {
+            forEachTouched(*this, [&f](std::uint64_t addr, const Cell &cell) {
                 if (cell.presence != Presence::Empty ||
                     !cell.deferred.empty())
                     f(addr, cell);
-            }
+            });
         }
 
         /** Every touched cell back to Empty, keeping the materialized
@@ -327,14 +336,9 @@ class IStructure
         void
         reset()
         {
-            for (std::uint64_t addr = 0; addr < touched; ++addr) {
-                auto &chunk = chunks[addr / kChunkWords];
-                if (!chunk) {
-                    addr = (addr / kChunkWords + 1) * kChunkWords - 1;
-                    continue;
-                }
-                sim::state::reset(chunk[addr % kChunkWords]);
-            }
+            forEachTouched(*this, [](std::uint64_t, Cell &cell) {
+                sim::state::reset(cell);
+            });
             touched = 0;
         }
 

@@ -457,8 +457,9 @@ class ReliableNet : public Network<Payload>
         {
         }
 
-        /** The live-or-settled slot of `seq` on `stream`, or null once
-         *  it is settled (or was never sent). */
+        /** The slot of `seq` on `stream`, or null when seq is at or
+         *  below the stream's acked mark or was never sent. A slot
+         *  found may already be settled. */
         Slot *
         find(std::uint32_t stream, std::uint64_t seq)
         {
