@@ -13,9 +13,7 @@
  * straight to the next delivery.
  */
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,82 +29,48 @@ struct Result
     std::uint64_t simCycles = 0;
     std::uint64_t workItems = 0; //!< tokens fired / instructions retired
     double hostMs = 0.0;         //!< best-of-reps wall time
-    double cyclesPerSec = 0.0;
-    double itemsPerSec = 0.0;
+    bool gated = true;           //!< false: reported, never gated
 };
 
-// Set from --reps/--warmup in main before any config runs.
-std::uint32_t gReps = 3;
-std::uint32_t gWarmup = 1;
-
-/** Run `body` gWarmup untimed times, then gReps timed times; returns
- *  the best wall-clock milliseconds (min is robust to host noise). */
-template <typename F>
 double
-bestMs(F &&body)
+perSec(std::uint64_t n, double ms)
 {
-    for (std::uint32_t r = 0; r < gWarmup; ++r)
-        body();
-    double best = 0.0;
-    for (std::uint32_t r = 0; r < gReps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
-
-Result
-finish(std::string name, std::uint64_t cycles, std::uint64_t items,
-       double ms)
-{
-    Result r;
-    r.name = std::move(name);
-    r.simCycles = cycles;
-    r.workItems = items;
-    r.hostMs = ms;
-    const double sec = ms / 1000.0;
-    r.cyclesPerSec = sec > 0.0 ? static_cast<double>(cycles) / sec : 0.0;
-    r.itemsPerSec = sec > 0.0 ? static_cast<double>(items) / sec : 0.0;
-    return r;
+    return ms > 0.0 ? static_cast<double>(n) * 1000.0 / ms : 0.0;
 }
 
 /** One TTDA run of the E1 row-pipeline workload at a given latency on
  *  a `pes`-wide machine. */
 Result
-ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
-           const std::string &name, sim::Cycle net_latency,
-           std::int64_t n, std::uint32_t pes = 4,
-           sim::MetricsRecorder *metrics = nullptr)
+ttdaConfig(bench::SimOptions &opts, const bench::RepTimer &timer,
+           const id::Compiled &compiled, const std::string &name,
+           sim::Cycle net_latency, std::int64_t n, std::uint32_t pes,
+           sim::MetricsRecorder *metrics)
 {
     ttda::MachineConfig cfg;
     cfg.numPEs = pes;
     cfg.netLatency = net_latency;
     // The "_metrics" A/A overhead row's own recorder: sampled but
-    // never exported — the row exists to price the sampling itself.
+    // never exported — the row exists to price the sampling itself,
+    // against its metrics-off twin, so it is reported but not gated.
     cfg.metrics = metrics;
-    std::uint64_t cycles = 0;
-    std::uint64_t fired = 0;
-    const double ms = bestMs([&] {
+    Result r{name};
+    r.gated = metrics == nullptr;
+    r.hostMs = timer.bestMs([&] {
         if (cfg.metrics)
             cfg.metrics->reset(); // each rep restarts at cycle 0
         auto run = bench::runTtda(compiled, cfg,
                                   {graph::Value{n}}, &opts);
-        cycles = run.cycles;
-        fired = run.fired;
+        r.simCycles = run.cycles;
+        r.workItems = run.fired;
     });
-    return finish(name, cycles, fired, ms);
+    return r;
 }
 
 /** One blocking-vN trace run (k contexts) at a given latency. */
 Result
-vnConfig(bench::SimOptions &opts, const std::string &name,
-         std::uint32_t contexts, sim::Cycle net_latency,
-         std::uint64_t references)
+vnConfig(bench::SimOptions &opts, const bench::RepTimer &timer,
+         const std::string &name, std::uint32_t contexts,
+         sim::Cycle net_latency, std::uint64_t references)
 {
     vn::VnMachineConfig cfg;
     cfg.numCores = 4;
@@ -115,45 +79,17 @@ vnConfig(bench::SimOptions &opts, const std::string &name,
     cfg.core.numContexts = contexts;
     cfg.wordsPerModule = 4096;
     opts.apply(cfg);
-    std::uint64_t cycles = 0;
-    std::uint64_t instrs = 0;
-    const double ms = bestMs([&] {
+    Result r{name};
+    r.hostMs = timer.bestMs([&] {
         auto m = bench::runVnTrace(cfg, references, 3, 1.0);
-        cycles = m.cycles();
-        instrs = 0;
+        r.simCycles = m.cycles();
+        r.workItems = 0;
         for (std::uint32_t c = 0; c < m.numCores(); ++c)
-            instrs += m.core(c).stats().instructions.value();
+            r.workItems += m.core(c).stats().instructions.value();
         opts.writeStatsJson(m);
         opts.writeMetrics(name);
     });
-    return finish(name, cycles, instrs, ms);
-}
-
-bool
-writeJson(const std::vector<Result> &results, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "bench_core: cannot open " << path
-                  << " for writing\n";
-        return false;
-    }
-    os << "{\n  \"benchmark\": \"bench_core\",\n  \"unit_note\": "
-          "\"hostMs is best-of-"
-       << gReps << " wall time\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        os << "    {\n"
-           << "      \"name\": \"" << r.name << "\",\n"
-           << "      \"simCycles\": " << r.simCycles << ",\n"
-           << "      \"workItems\": " << r.workItems << ",\n"
-           << "      \"hostMs\": " << r.hostMs << ",\n"
-           << "      \"cyclesPerSec\": " << r.cyclesPerSec << ",\n"
-           << "      \"itemsPerSec\": " << r.itemsPerSec << "\n"
-           << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.good();
+    return r;
 }
 
 } // namespace
@@ -162,8 +98,7 @@ int
 main(int argc, char **argv)
 {
     bench::SimOptions opts(argc, argv);
-    gReps = opts.reps();
-    gWarmup = opts.warmup();
+    const bench::RepTimer timer(opts);
     const std::string out =
         opts.args.size() > 1 ? opts.args[1] : "BENCH_core.json";
 
@@ -206,50 +141,61 @@ main(int argc, char **argv)
     )");
 
     std::vector<Result> results;
-    results.push_back(ttdaConfig(opts, compiled, "ttda_net2", 2, 24));
-    results.push_back(ttdaConfig(opts, compiled, "ttda_net64", 64, 24));
-    results.push_back(
-        ttdaConfig(opts, compiled, "ttda_net256", 256, 24));
-    results.push_back(
-        ttdaConfig(opts, serial, "ttda_serial_net256", 256, 400));
-    results.push_back(vnConfig(opts, "vn_blocking_net64", 1, 64, 2000));
-    results.push_back(
-        vnConfig(opts, "vn_blocking_net256", 1, 256, 2000));
-    results.push_back(vnConfig(opts, "vn_k8_net64", 8, 64, 2000));
+    const auto ttda = [&](const id::Compiled &c, const std::string &name,
+                          sim::Cycle lat, std::int64_t n,
+                          std::uint32_t pes = 4,
+                          sim::MetricsRecorder *metrics = nullptr) {
+        results.push_back(
+            ttdaConfig(opts, timer, c, name, lat, n, pes, metrics));
+    };
+    const auto vn = [&](const std::string &name, std::uint32_t contexts,
+                        sim::Cycle lat) {
+        results.push_back(vnConfig(opts, timer, name, contexts, lat, 2000));
+    };
+    ttda(compiled, "ttda_net2", 2, 24);
+    ttda(compiled, "ttda_net64", 64, 24);
+    ttda(compiled, "ttda_net256", 256, 24);
+    ttda(serial, "ttda_serial_net256", 256, 400);
+    vn("vn_blocking_net64", 1, 64);
+    vn("vn_blocking_net256", 1, 256);
+    vn("vn_k8_net64", 8, 64);
 
     // A/A overhead row: ttda_net64's exact config with a metrics
     // recorder sampling at the default interval. Compare against
-    // ttda_net64 to price the sampling; bench_guard.sh treats
-    // "_metrics"-suffixed rows as informational (no floor gating).
+    // ttda_net64 to price the sampling.
     sim::MetricsRecorder aaRecorder;
-    results.push_back(ttdaConfig(opts, compiled, "ttda_net64_metrics",
-                                 64, 24, 4, &aaRecorder));
+    ttda(compiled, "ttda_net64_metrics", 64, 24, 4, &aaRecorder);
 
     // A 64-PE machine at each network latency. The "_t1" suffix keeps
-    // the names BENCH_core.json and scripts/bench_guard.sh key the
-    // rows' floors on.
+    // the names the committed BENCH_core.json rows carry.
     for (const sim::Cycle lat : {sim::Cycle{2}, sim::Cycle{64},
-                                 sim::Cycle{256}}) {
-        results.push_back(ttdaConfig(
-            opts, compiled,
-            "ttda_pe64_net" + std::to_string(lat) + "_t1", lat, 24,
-            64));
-    }
+                                 sim::Cycle{256}})
+        ttda(compiled, "ttda_pe64_net" + std::to_string(lat) + "_t1",
+             lat, 24, 64);
 
-    sim::Table t("Simulator core throughput (best of " +
-                 std::to_string(gReps) + " runs)");
+    sim::Table t("Simulator core throughput (" + timer.describe() + ")");
     t.header({"config", "sim cycles", "work items", "host ms",
               "Mcycles/s", "Kitems/s"});
-    for (const Result &r : results)
+    std::vector<bench::BenchRow> rows;
+    for (const Result &r : results) {
         t.addRow({r.name, sim::Table::num(r.simCycles),
                   sim::Table::num(r.workItems),
                   sim::Table::num(r.hostMs, 3),
-                  sim::Table::num(r.cyclesPerSec / 1e6, 2),
-                  sim::Table::num(r.itemsPerSec / 1e3, 1)});
+                  sim::Table::num(perSec(r.simCycles, r.hostMs) / 1e6, 2),
+                  sim::Table::num(perSec(r.workItems, r.hostMs) / 1e3, 1)});
+        auto &row = rows.emplace_back(r.name)
+                        .set("simCycles", r.simCycles)
+                        .set("workItems", r.workItems)
+                        .set("hostMs", r.hostMs)
+                        .set("cyclesPerSec", perSec(r.simCycles, r.hostMs))
+                        .set("itemsPerSec", perSec(r.workItems, r.hostMs));
+        r.gated ? row.lower("hostMs") : row.info();
+    }
     t.print(std::cout);
-
-    if (!writeJson(results, out))
-        return 1;
-    std::cout << "\nwrote " << out << "\n";
-    return 0;
+    std::cout << "\n";
+    return bench::writeBench(out, "bench_core",
+                             "hostMs: wall time, " + timer.describe(),
+                             rows)
+               ? 0
+               : 1;
 }

@@ -16,19 +16,17 @@
  * quiesce incomplete, classified by the deadlock forensics.
  *
  * Results are written as machine-readable JSON (BENCH_faults.json by
- * default, or argv[1]) in the BENCH_core.json style; the zero-fault
- * configs feed scripts/bench_guard.sh's regression check.
+ * default, or argv[1]); the zero-fault rows are gated on hostMs, the
+ * lossy ones are reported only.
  *
- * Two more rows, under "ratios", price the reliability layer itself:
- * the zero-fault TTDA and vn runs timed reliable over bare in one
- * process, their reps interleaved so both sides see the same host
- * phase. bench_guard.sh gates each ratio against its committed row.
+ * Two more rows price the reliability layer itself: the zero-fault
+ * TTDA and vn runs timed reliable over bare in one process, their
+ * reps interleaved so both sides see the same host phase. Each is
+ * gated on its ratio.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -60,34 +58,8 @@ struct Ratio
     double bareMs = 0.0; //!< best-of-kRatioReps bare wall time
 };
 
-constexpr int kReps = 3;
 constexpr int kRatioReps = 24;
 constexpr std::uint64_t kFaultSeed = 0xFA17;
-
-/** Wall-clock milliseconds of one run of `body`. */
-template <typename F>
-double
-timeMs(F &&body)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-/** Time `body` kReps times; returns the best wall-clock milliseconds. */
-template <typename F>
-double
-bestMs(F &&body)
-{
-    double best = 0.0;
-    for (int r = 0; r < kReps; ++r) {
-        const double ms = timeMs(body);
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 /** Best-of-kRatioReps times of `bare` and `rel`, alternating. */
 template <typename Bare, typename Rel>
@@ -97,8 +69,8 @@ interleaved(const std::string &name, Bare &&bare, Rel &&rel)
     Ratio r;
     r.name = name;
     for (int i = 0; i < kRatioReps; ++i) {
-        const double b = timeMs(bare);
-        const double l = timeMs(rel);
+        const double b = bench::timeMs(bare);
+        const double l = bench::timeMs(rel);
         r.bareMs = i == 0 ? b : std::min(r.bareMs, b);
         r.relMs = i == 0 ? l : std::min(r.relMs, l);
     }
@@ -146,9 +118,9 @@ vnBase()
 }
 
 Result
-ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
-           const std::string &name, double rate, bool reliable,
-           std::int64_t n)
+ttdaConfig(bench::SimOptions &opts, const bench::RepTimer &timer,
+           const id::Compiled &compiled, const std::string &name,
+           double rate, bool reliable, std::int64_t n)
 {
     ttda::MachineConfig cfg = ttdaBase();
     opts.apply(cfg);
@@ -160,7 +132,7 @@ ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
     Result r;
     r.name = name;
     r.dropRate = rate;
-    r.hostMs = bestMs([&] {
+    r.hostMs = timer.bestMs([&] {
         ttda::Machine m(compiled.program, cfg);
         m.input(compiled.startCb, 0, graph::Value{n});
         m.run();
@@ -181,8 +153,9 @@ ttdaConfig(bench::SimOptions &opts, const id::Compiled &compiled,
 }
 
 Result
-vnConfig(bench::SimOptions &opts, const std::string &name,
-         double rate, bool reliable, std::uint64_t references)
+vnConfig(bench::SimOptions &opts, const bench::RepTimer &timer,
+         const std::string &name, double rate, bool reliable,
+         std::uint64_t references)
 {
     vn::VnMachineConfig cfg = vnBase();
     opts.apply(cfg);
@@ -192,7 +165,7 @@ vnConfig(bench::SimOptions &opts, const std::string &name,
     Result r;
     r.name = name;
     r.dropRate = rate;
-    r.hostMs = bestMs([&] {
+    r.hostMs = timer.bestMs([&] {
         auto m = bench::runVnTrace(cfg, references, 3, 1.0);
         r.completed = !m.deadlocked();
         r.simCycles = m.cycles();
@@ -240,57 +213,13 @@ relOverBare(const id::Compiled &compiled, std::int64_t n,
             interleaved("vn_rel_over_bare", vn(false), vn(true))};
 }
 
-bool
-writeJson(const std::vector<Result> &results,
-          const std::vector<Ratio> &ratios, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "bench_faults: cannot open " << path
-                  << " for writing\n";
-        return false;
-    }
-    os << "{\n  \"benchmark\": \"bench_faults\",\n  \"faultSeed\": "
-       << kFaultSeed << ",\n  \"unit_note\": \"hostMs is best-of-"
-       << kReps
-       << " wall time; slowdown is simCycles vs the same variant at "
-          "dropRate 0\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        os << "    {\n"
-           << "      \"name\": \"" << r.name << "\",\n"
-           << "      \"dropRate\": " << r.dropRate << ",\n"
-           << "      \"completed\": " << (r.completed ? "true" : "false")
-           << ",\n"
-           << "      \"simCycles\": " << r.simCycles << ",\n"
-           << "      \"workItems\": " << r.workItems << ",\n"
-           << "      \"destroyed\": " << r.destroyed << ",\n"
-           << "      \"retransmits\": " << r.retransmits << ",\n"
-           << "      \"slowdown\": " << r.slowdown << ",\n"
-           << "      \"hostMs\": " << r.hostMs << "\n"
-           << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"ratios\": [\n";
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-        const Ratio &r = ratios[i];
-        os << "    {\n"
-           << "      \"name\": \"" << r.name << "\",\n"
-           << "      \"reps\": " << kRatioReps << ",\n"
-           << "      \"relMs\": " << r.relMs << ",\n"
-           << "      \"bareMs\": " << r.bareMs << ",\n"
-           << "      \"ratio\": " << r.relMs / r.bareMs << "\n"
-           << "    }" << (i + 1 < ratios.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.good();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bench::SimOptions opts(argc, argv);
+    const bench::RepTimer timer(opts, 3, 0);
     const std::string out =
         opts.args.size() > 1 ? opts.args[1] : "BENCH_faults.json";
 
@@ -323,14 +252,15 @@ main(int argc, char **argv)
         {0.0, "0"}, {0.001, "0.1pct"}, {0.01, "1pct"}, {0.05, "5pct"}};
     std::vector<Result> results;
     for (const auto &[rate, tag] : rates) {
-        results.push_back(ttdaConfig(
-            opts, compiled, "ttda_drop" + tag, rate, false, 12));
-        results.push_back(ttdaConfig(
-            opts, compiled, "ttda_rel_drop" + tag, rate, true, 12));
+        results.push_back(ttdaConfig(opts, timer, compiled,
+                                     "ttda_drop" + tag, rate, false, 12));
+        results.push_back(ttdaConfig(opts, timer, compiled,
+                                     "ttda_rel_drop" + tag, rate, true,
+                                     12));
         results.push_back(
-            vnConfig(opts, "vn_drop" + tag, rate, false, 500));
+            vnConfig(opts, timer, "vn_drop" + tag, rate, false, 500));
         results.push_back(
-            vnConfig(opts, "vn_rel_drop" + tag, rate, true, 500));
+            vnConfig(opts, timer, "vn_rel_drop" + tag, rate, true, 500));
     }
 
     // Slowdown relative to the same variant's zero-fault run (the
@@ -344,10 +274,12 @@ main(int argc, char **argv)
     }
 
     sim::Table t("Degradation under injected loss (fault seed " +
-                 std::to_string(kFaultSeed) + ")");
+                 std::to_string(kFaultSeed) + ", " + timer.describe() +
+                 ")");
     t.header({"config", "drop", "done", "sim cycles", "destroyed",
               "retransmits", "slowdown", "host ms"});
-    for (const Result &r : results)
+    std::vector<bench::BenchRow> rows;
+    for (const Result &r : results) {
         t.addRow({r.name, sim::Table::num(r.dropRate, 3),
                   r.completed ? "yes" : "STRANDED",
                   sim::Table::num(r.simCycles),
@@ -355,21 +287,45 @@ main(int argc, char **argv)
                   sim::Table::num(r.retransmits),
                   sim::Table::num(r.slowdown, 3),
                   sim::Table::num(r.hostMs, 3)});
+        // Lossy rows measure degradation, not the fault-free cost.
+        auto &row = rows.emplace_back(r.name)
+                        .set("dropRate", r.dropRate)
+                        .set("completed", r.completed)
+                        .set("simCycles", r.simCycles)
+                        .set("workItems", r.workItems)
+                        .set("destroyed", r.destroyed)
+                        .set("retransmits", r.retransmits)
+                        .set("slowdown", r.slowdown)
+                        .set("hostMs", r.hostMs);
+        r.dropRate == 0.0 ? row.lower("hostMs") : row.info();
+    }
     t.print(std::cout);
 
-    const std::vector<Ratio> ratios = relOverBare(compiled, 12, 500);
     sim::Table rt("Reliable over bare at drop 0, one process (best of " +
                   std::to_string(kRatioReps) + " interleaved)");
     rt.header({"ratio", "bare ms", "reliable ms", "reliable / bare"});
-    for (const Ratio &r : ratios)
+    for (const Ratio &r : relOverBare(compiled, 12, 500)) {
         rt.addRow({r.name, sim::Table::num(r.bareMs, 3),
                    sim::Table::num(r.relMs, 3),
                    sim::Table::num(r.relMs / r.bareMs, 3)});
+        rows.emplace_back(r.name)
+            .set("reps", kRatioReps)
+            .set("relMs", r.relMs)
+            .set("bareMs", r.bareMs)
+            .set("ratio", r.relMs / r.bareMs)
+            .lower("ratio");
+    }
     std::cout << "\n";
     rt.print(std::cout);
-
-    if (!writeJson(results, ratios, out))
-        return 1;
-    std::cout << "\nwrote " << out << "\n";
-    return 0;
+    std::cout << "\n";
+    return bench::writeBench(
+               out, "bench_faults",
+               sim::format("fault seed {}; hostMs: wall time, {}; "
+                           "slowdown: simCycles vs the same variant at "
+                           "dropRate 0; ratio rows: best of {} "
+                           "interleaved runs of each side",
+                           kFaultSeed, timer.describe(), kRatioReps),
+               rows)
+               ? 0
+               : 1;
 }

@@ -125,19 +125,7 @@ main(int argc, char **argv)
                            "ttda row-sum produced the wrong total");
             ttdaCycles = m.cycles();
         };
-        for (std::uint32_t r = 0; r < opts.warmup(); ++r)
-            runOnce();
-        double bestMs = 0.0;
-        for (std::uint32_t r = 0; r < opts.reps(); ++r) {
-            const auto t0 = std::chrono::steady_clock::now();
-            runOnce();
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            if (r == 0 || ms < bestMs)
-                bestMs = ms;
-        }
+        const double bestMs = bench::RepTimer(opts).bestMs(runOnce);
 
         t.addRow({sim::Table::num(std::uint64_t{latency}),
                   sim::Table::num(std::uint64_t{vn_blocking}),

@@ -26,16 +26,14 @@
  *  - vn_poisson_rhoR: the von Neumann tier serving the same schedule
  *    through its fixed hardware-context pool (workloads::VnServeDriver).
  *
- * Output: a table, plus BENCH_serve.json (argv[1] overrides the path)
- * for scripts/bench_guard.sh — zero-fault rows gate on hostMs, the
- * brownout row is informational, and the reset row gates on the
- * speedup ratio.
+ * Output: a table, plus BENCH_serve.json (argv[1] overrides the path).
+ * Zero-fault rows gate on hostMs, the reset row on its speedup ratio;
+ * the brownout row and the multi-worker fleet rows are reported only.
  */
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,49 +46,60 @@
 namespace
 {
 
+/** One serving run's measurements. */
 struct Row
 {
     std::string name;
-    std::string tier;     //!< "ttda" / "vn" / "epoch"
+    std::string tier;     //!< "ttda" / "vn" / "fleet"
     double rho = 0.0;     //!< offered load / measured capacity
-    bool faulted = false; //!< brownout rows: informational in guard
     std::uint64_t requests = 0;
     std::uint64_t completed = 0;
     std::uint64_t simCycles = 0;
     double offeredPerKcycle = 0.0;
     double completedPerKcycle = 0.0;
     double mean = 0.0, p50 = 0.0, p90 = 0.0, p99 = 0.0, p999 = 0.0;
-    std::uint64_t watermarkHits = 0;
+    std::optional<std::uint64_t> watermarkHits; //!< TTDA rows only
     double hostMs = 0.0;
-    // ttda_reset_reuse only:
-    double freshMs = 0.0, reuseMs = 0.0, resetSpeedup = 0.0;
-    // fleet rows only:
-    std::uint32_t workers = 0; //!< 0 marks non-fleet rows
-    std::uint64_t jobs = 0;
-    double jobsPerSec = 0.0;  //!< host-time throughput (informational)
-    double fleetScaling = 0.0; //!< jobsPerSec / the w=1 row's
 };
 
-std::uint32_t gReps = 3;
-std::uint32_t gWarmup = 1;
-
-template <typename F>
-double
-bestMs(F &&body)
+/** A serving row's fields, in the order every serving row writes
+ *  them; the caller adds its own and the gate. */
+bench::BenchRow
+benchRow(const Row &r)
 {
-    for (std::uint32_t r = 0; r < gWarmup; ++r)
-        body();
-    double best = 0.0;
-    for (std::uint32_t r = 0; r < gReps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
+    bench::BenchRow row(r.name);
+    row.set("tier", r.tier)
+        .set("rho", r.rho)
+        .set("requests", r.requests)
+        .set("completed", r.completed)
+        .set("simCycles", r.simCycles)
+        .set("offeredPerKcycle", r.offeredPerKcycle)
+        .set("completedPerKcycle", r.completedPerKcycle)
+        .set("mean", r.mean)
+        .set("p50", r.p50)
+        .set("p90", r.p90)
+        .set("p99", r.p99)
+        .set("p999", r.p999);
+    if (r.watermarkHits)
+        row.set("watermarkHits", *r.watermarkHits);
+    return row.set("hostMs", r.hostMs);
+}
+
+/** A fleet row: the serving fields plus the fleet's host-time
+ *  throughput, scaling against the 1-worker fleet's `w1Ms`. Scaling
+ *  past one worker is a fact of the host's core count (~1.0 on a
+ *  1-CPU host), so only the 1-worker row is gated. */
+bench::BenchRow
+fleetRow(const Row &r, unsigned workers, std::size_t jobs, double w1Ms)
+{
+    const bool timed = r.hostMs > 0.0;
+    bench::BenchRow row = benchRow(r);
+    row.set("workers", workers)
+        .set("jobs", jobs)
+        .set("jobsPerSec",
+             timed ? 1000.0 * static_cast<double>(jobs) / r.hostMs : 0.0)
+        .set("fleetScaling", timed ? w1Ms / r.hostMs : 0.0);
+    return workers > 1 ? row.info() : row.lower("hostMs");
 }
 
 void
@@ -116,11 +125,8 @@ serveTtda(ttda::Machine &m, std::uint16_t cb,
 {
     for (const sim::Cycle at : arrivals)
         m.submit(cb, {graph::Value{kFibN}}, at);
-    const auto t0 = std::chrono::steady_clock::now();
-    m.serve();
-    const auto t1 = std::chrono::steady_clock::now();
-
     Row row;
+    row.hostMs = bench::timeMs([&] { m.serve(); });
     row.name = std::move(name);
     row.tier = "ttda";
     row.rho = rho;
@@ -134,8 +140,6 @@ serveTtda(ttda::Machine &m, std::uint16_t cb,
                   static_cast<double>(row.simCycles)
             : 0.0;
     row.watermarkHits = m.watermarkHits();
-    row.hostMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
     fillLatency(row, m.requestLatency());
     if (m.deadlocked())
         sim::fatal("serve deadlocked in {}", row.name);
@@ -149,61 +153,13 @@ serveTtda(ttda::Machine &m, std::uint16_t cb,
     return row;
 }
 
-bool
-writeJson(const std::vector<Row> &rows, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "bench_serve: cannot open " << path
-                  << " for writing\n";
-        return false;
-    }
-    os << "{\n  \"benchmark\": \"bench_serve\",\n  \"unit_note\": "
-          "\"latencies in cycles; hostMs is one serve() wall time\",\n"
-          "  \"runs\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\n"
-           << "      \"name\": \"" << r.name << "\",\n"
-           << "      \"tier\": \"" << r.tier << "\",\n"
-           << "      \"rho\": " << r.rho << ",\n"
-           << "      \"faulted\": " << (r.faulted ? "true" : "false")
-           << ",\n"
-           << "      \"requests\": " << r.requests << ",\n"
-           << "      \"completed\": " << r.completed << ",\n"
-           << "      \"simCycles\": " << r.simCycles << ",\n"
-           << "      \"offeredPerKcycle\": " << r.offeredPerKcycle
-           << ",\n"
-           << "      \"completedPerKcycle\": " << r.completedPerKcycle
-           << ",\n"
-           << "      \"mean\": " << r.mean << ",\n"
-           << "      \"p50\": " << r.p50 << ",\n"
-           << "      \"p90\": " << r.p90 << ",\n"
-           << "      \"p99\": " << r.p99 << ",\n"
-           << "      \"p999\": " << r.p999 << ",\n"
-           << "      \"watermarkHits\": " << r.watermarkHits << ",\n"
-           << "      \"freshMs\": " << r.freshMs << ",\n"
-           << "      \"reuseMs\": " << r.reuseMs << ",\n"
-           << "      \"resetSpeedup\": " << r.resetSpeedup << ",\n"
-           << "      \"workers\": " << r.workers << ",\n"
-           << "      \"jobs\": " << r.jobs << ",\n"
-           << "      \"jobsPerSec\": " << r.jobsPerSec << ",\n"
-           << "      \"fleetScaling\": " << r.fleetScaling << ",\n"
-           << "      \"hostMs\": " << r.hostMs << "\n"
-           << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.good();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bench::SimOptions opts(argc, argv);
-    gReps = opts.reps();
-    gWarmup = opts.warmup();
+    const bench::RepTimer timer(opts);
     const std::string out =
         opts.args.size() > 1 ? opts.args[1] : "BENCH_serve.json";
 
@@ -246,7 +202,7 @@ main(int argc, char **argv)
     serveCfg.wmHighWatermark = wmHigh;
     serveCfg.wmLowWatermark = wmHigh / 2;
 
-    std::vector<Row> rows;
+    std::vector<bench::BenchRow> rows;
 
     // ---- load sweep on ONE machine, reset() between points ---------
     auto scheduleFor = [&](workloads::ArrivalKind kind, double rho) {
@@ -257,33 +213,37 @@ main(int argc, char **argv)
         return workloads::arrivalSchedule(ac, kRequests);
     };
 
+    Row ref; // ttda_poisson_rho0.8
     {
         ttda::Machine m(prog, serveCfg);
         for (const double rho : {0.2, 0.5, 0.8, 1.0, 1.2}) {
             m.reset();
-            rows.push_back(serveTtda(
+            const Row row = serveTtda(
                 m, cb, scheduleFor(workloads::ArrivalKind::Poisson, rho),
                 sim::format("ttda_poisson_rho{}", rho), rho,
-                svcGap / rho, &opts));
+                svcGap / rho, &opts);
+            if (rho == 0.8)
+                ref = row;
+            rows.push_back(benchRow(row).lower("hostMs"));
         }
         for (const auto kind : {workloads::ArrivalKind::Bursty,
                                 workloads::ArrivalKind::Diurnal}) {
             m.reset();
-            rows.push_back(serveTtda(
+            const Row row = serveTtda(
                 m, cb, scheduleFor(kind, 0.8),
                 sim::format("ttda_{}_rho0.8",
                             workloads::arrivalKindName(kind)),
-                0.8, svcGap / 0.8, &opts));
+                0.8, svcGap / 0.8, &opts);
+            rows.push_back(benchRow(row).lower("hostMs"));
         }
     }
 
     // ---- determinism: a fresh machine ------------------------------
     // Must reproduce the sweep's rho-0.8 row exactly: that row ran on
     // a machine that had been reset() five times, this one is fresh.
-    // The "_t1" suffix keeps the name BENCH_serve.json and
-    // scripts/bench_guard.sh key the row's floor on.
+    // The "_t1" suffix keeps the name the committed BENCH_serve.json
+    // row carries.
     {
-        const Row ref = rows[2]; // ttda_poisson_rho0.8
         ttda::Machine m(prog, serveCfg);
         Row row = serveTtda(
             m, cb, scheduleFor(workloads::ArrivalKind::Poisson, 0.8),
@@ -294,7 +254,7 @@ main(int argc, char **argv)
                        "(cycles {} vs {}, p99 {} vs {})",
                        row.name, row.simCycles, ref.simCycles, row.p99,
                        ref.p99);
-        rows.push_back(std::move(row));
+        rows.push_back(benchRow(row).lower("hostMs"));
     }
 
     // ---- reset() vs reconstruct epoch cost -------------------------
@@ -311,13 +271,13 @@ main(int argc, char **argv)
             m.serve();
         };
         sim::Cycle freshCycles = 0, reuseCycles = 0;
-        const double freshMs = bestMs([&] {
+        const double freshMs = timer.bestMs([&] {
             ttda::Machine m(prog, epochCfg);
             epochOn(m);
             freshCycles = m.cycles();
         });
         ttda::Machine reused(prog, epochCfg);
-        const double reuseMs = bestMs([&] {
+        const double reuseMs = timer.bestMs([&] {
             reused.reset();
             epochOn(reused);
             reuseCycles = reused.cycles();
@@ -325,17 +285,15 @@ main(int argc, char **argv)
         if (freshCycles != reuseCycles)
             sim::fatal("reset epoch diverged: {} vs {} cycles",
                        reuseCycles, freshCycles);
-        Row row;
-        row.name = "ttda_reset_reuse";
-        row.tier = "epoch";
-        row.requests = kEpochReq;
-        row.completed = kEpochReq;
-        row.simCycles = freshCycles;
-        row.freshMs = freshMs;
-        row.reuseMs = reuseMs;
-        row.resetSpeedup = reuseMs > 0.0 ? freshMs / reuseMs : 0.0;
-        row.hostMs = reuseMs;
-        rows.push_back(std::move(row));
+        rows.emplace_back("ttda_reset_reuse")
+            .set("tier", "epoch")
+            .set("requests", kEpochReq)
+            .set("completed", reused.requestsCompleted())
+            .set("simCycles", freshCycles)
+            .set("freshMs", freshMs)
+            .set("reuseMs", reuseMs)
+            .set("resetSpeedup", reuseMs > 0.0 ? freshMs / reuseMs : 0.0)
+            .higher("resetSpeedup");
     }
 
     // ---- brownout: mid-run drop spike under ReliableNet ------------
@@ -353,10 +311,12 @@ main(int argc, char **argv)
         cfg.faults.seed = 9;
         cfg.faults.events.push_back(spike);
         ttda::Machine m(prog, cfg);
-        Row row = serveTtda(m, cb, arrivals, "ttda_brownout_rho0.8",
-                            0.8, svcGap / 0.8, &opts);
-        row.faulted = true;
-        rows.push_back(std::move(row));
+        // A degradation measurement, not a throughput baseline.
+        rows.push_back(benchRow(serveTtda(m, cb, arrivals,
+                                          "ttda_brownout_rho0.8", 0.8,
+                                          svcGap / 0.8, &opts))
+                           .set("faulted", true)
+                           .info());
     }
 
     // ---- the von Neumann tier serving the same shapes --------------
@@ -406,10 +366,8 @@ main(int argc, char **argv)
         vn::VnMachine m(vnCfg);
         workloads::VnServeDriver drv(m, vnRequests(arrivals));
         drv.attach();
-        const auto t0 = std::chrono::steady_clock::now();
-        m.run();
-        const auto t1 = std::chrono::steady_clock::now();
         Row row;
+        row.hostMs = bench::timeMs([&] { m.run(); });
         row.name = sim::format("vn_poisson_rho{}", rho);
         row.tier = "vn";
         row.rho = rho;
@@ -420,24 +378,19 @@ main(int argc, char **argv)
         row.completedPerKcycle =
             1000.0 * static_cast<double>(row.completed) /
             static_cast<double>(row.simCycles);
-        row.hostMs =
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count();
         fillLatency(row, drv.latency());
         if (row.completed != row.requests)
             sim::fatal("{}: {} of {} requests completed", row.name,
                        row.completed, row.requests);
         opts.writeMetrics(row.name);
-        rows.push_back(std::move(row));
+        rows.push_back(benchRow(row).lower("hostMs"));
     }
 
     // ---- fleet: job-level scale-out across warm replicas -----------
     // M concurrent epochs (closed loop: all queued up front) claimed
     // by W workers from the fleet's one job cursor. Per-job results are
     // bit-identical for every W — asserted against the W=1 run — so
-    // the only thing the worker count may change is hostMs. jobs/sec
-    // and the scaling ratio are host-time facts: informational, and
-    // ~1.0 scaling expected on a 1-CPU host.
+    // the only thing the worker count may change is hostMs.
     {
         constexpr std::size_t kFleetJobs = 16;
         constexpr std::size_t kFleetReq = 32;
@@ -455,26 +408,24 @@ main(int argc, char **argv)
         }
 
         std::vector<serve::FleetJobResult> ref;
-        double w1JobsPerSec = 0.0;
+        double w1Ms = 0.0;
         for (const unsigned w : {1u, 2u, 4u}) {
             serve::FleetConfig fc;
             fc.workers = w;
             serve::TtdaFleet fleet(prog, serveCfg, fc);
             std::vector<serve::FleetJobResult> results;
-            const double ms =
-                bestMs([&] { results = fleet.run(jobs); });
-
             Row row;
+            row.hostMs =
+                timer.bestMs([&] { results = fleet.run(jobs); });
             row.name = sim::format("ttda_fleet_w{}", w);
             row.tier = "fleet";
             row.rho = 0.8;
-            row.workers = w;
-            row.jobs = kFleetJobs;
+            row.watermarkHits = 0;
             for (const auto &r : results) {
                 row.requests += r.submitted;
                 row.completed += r.completed;
                 row.simCycles += r.cycles;
-                row.watermarkHits += r.watermarkHits;
+                *row.watermarkHits += r.watermarkHits;
                 if (r.deadlocked)
                     sim::fatal("{}: fleet job deadlocked", row.name);
             }
@@ -487,17 +438,10 @@ main(int argc, char **argv)
                 static_cast<double>(row.simCycles);
             fillLatency(row,
                         serve::TtdaFleet::mergedLatency(results));
-            row.hostMs = ms;
-            row.jobsPerSec =
-                ms > 0.0 ? 1000.0 * kFleetJobs / ms : 0.0;
             if (w == 1) {
                 ref = results;
-                w1JobsPerSec = row.jobsPerSec;
-                row.fleetScaling = 1.0;
+                w1Ms = row.hostMs;
             } else {
-                row.fleetScaling = w1JobsPerSec > 0.0
-                                       ? row.jobsPerSec / w1JobsPerSec
-                                       : 0.0;
                 // The tentpole contract: worker count, replica
                 // assignment, and claim order must not reach results.
                 for (std::size_t j = 0; j < ref.size(); ++j) {
@@ -515,7 +459,7 @@ main(int argc, char **argv)
                                        row.name, j, i);
                 }
             }
-            rows.push_back(std::move(row));
+            rows.push_back(fleetRow(row, w, kFleetJobs, w1Ms));
         }
     }
 
@@ -532,21 +476,18 @@ main(int argc, char **argv)
                 vnRequests(workloads::arrivalSchedule(ac, 64));
         }
         std::vector<serve::VnFleetJobResult> ref;
-        double w1JobsPerSec = 0.0;
+        double w1Ms = 0.0;
         for (const unsigned w : {1u, 2u, 4u}) {
             serve::FleetConfig fc;
             fc.workers = w;
             serve::VnFleet fleet(vnCfg, fc);
             std::vector<serve::VnFleetJobResult> results;
-            const double ms =
-                bestMs([&] { results = fleet.run(vnJobs); });
-
             Row row;
+            row.hostMs =
+                timer.bestMs([&] { results = fleet.run(vnJobs); });
             row.name = sim::format("vn_fleet_w{}", w);
             row.tier = "fleet";
             row.rho = 0.8;
-            row.workers = w;
-            row.jobs = kVnJobs;
             sim::Histogram lat;
             for (const auto &r : results) {
                 row.requests += r.submitted;
@@ -562,16 +503,10 @@ main(int argc, char **argv)
                 1000.0 * static_cast<double>(row.completed) /
                 static_cast<double>(row.simCycles);
             fillLatency(row, lat);
-            row.hostMs = ms;
-            row.jobsPerSec = ms > 0.0 ? 1000.0 * kVnJobs / ms : 0.0;
             if (w == 1) {
                 ref = results;
-                w1JobsPerSec = row.jobsPerSec;
-                row.fleetScaling = 1.0;
+                w1Ms = row.hostMs;
             } else {
-                row.fleetScaling = w1JobsPerSec > 0.0
-                                       ? row.jobsPerSec / w1JobsPerSec
-                                       : 0.0;
                 for (std::size_t j = 0; j < ref.size(); ++j)
                     if (ref[j].cycles != results[j].cycles ||
                         ref[j].latency.bins() !=
@@ -580,7 +515,7 @@ main(int argc, char **argv)
                                    "1-worker fleet",
                                    row.name, j);
             }
-            rows.push_back(std::move(row));
+            rows.push_back(fleetRow(row, w, kVnJobs, w1Ms));
         }
     }
 
@@ -591,21 +526,32 @@ main(int argc, char **argv)
         wmHigh));
     t.header({"config", "rho", "offered/kc", "done/kc", "p50", "p90",
               "p99", "p999", "wm hits", "host ms"});
-    for (const Row &r : rows)
-        t.addRow({r.name, sim::Table::num(r.rho, 2),
-                  sim::Table::num(r.offeredPerKcycle, 3),
-                  sim::Table::num(r.completedPerKcycle, 3),
-                  sim::Table::num(r.p50, 0), sim::Table::num(r.p90, 0),
-                  sim::Table::num(r.p99, 0),
-                  sim::Table::num(r.p999, 0),
-                  sim::Table::num(r.watermarkHits),
-                  sim::Table::num(r.hostMs, 3)});
+    // A row lacks the fields it did not measure; their cells read "-".
+    const auto cell = [](const bench::BenchRow &r, const char *key,
+                         int precision) {
+        const auto &v = r[key];
+        return v.isNull() ? std::string("-")
+                          : sim::Table::num(v.asDouble(), precision);
+    };
+    for (const auto &r : rows)
+        t.addRow({r["name"].asStr(), cell(r, "rho", 2),
+                  cell(r, "offeredPerKcycle", 3),
+                  cell(r, "completedPerKcycle", 3), cell(r, "p50", 0),
+                  cell(r, "p90", 0), cell(r, "p99", 0),
+                  cell(r, "p999", 0), cell(r, "watermarkHits", 0),
+                  cell(r, "hostMs", 3)});
     t.print(std::cout);
     std::cout << "reset/reconstruct: see ttda_reset_reuse row "
                  "(resetSpeedup = reconstruct ms / reset ms)\n";
 
-    if (!writeJson(rows, out))
-        return 1;
-    std::cout << "wrote " << out << "\n";
-    return 0;
+    return bench::writeBench(
+               out, "bench_serve",
+               "latencies in cycles; hostMs: wall time of one serve(), "
+               "fleet rows: of the whole job set, " +
+                   timer.describe() +
+                   "; freshMs and reuseMs: wall time of one epoch, " +
+                   timer.describe(),
+               rows)
+               ? 0
+               : 1;
 }

@@ -14,10 +14,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/table.hh"
@@ -93,10 +96,11 @@ emulModeName(EmulMode m)
  *                       (flamegraph.pl / speedscope input), folding
  *                       the static-call chain
  *   --reps=N            timed repetitions per configuration in
- *                       host-time benches (default 3; the best rep is
- *                       reported — min is robust to scheduler noise)
+ *                       host-time benches (default: the bench's own,
+ *                       see RepTimer; the best rep is reported — min
+ *                       is robust to scheduler noise)
  *   --warmup=N          untimed warmup repetitions before the timed
- *                       ones (default 1)
+ *                       ones (default: the bench's own)
  *
  * Recognised flags are consumed; everything else (argv[0] first) stays
  * in `args`, so a binary's positional-argument parsing is unchanged.
@@ -398,6 +402,180 @@ class SimOptions
     bool repsSet_ = false;
     bool warmupSet_ = false;
 };
+
+/** Wall-clock milliseconds of one run of `body`. */
+template <typename F>
+double
+timeMs(F &&body)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/**
+ * Best-of-N host timing: `warmup` untimed runs, then `reps` timed
+ * ones. --reps and --warmup override the bench's own defaults, so
+ * every row a bench times uses one count, and its BENCH file's note
+ * says which (describe()).
+ */
+class RepTimer
+{
+  public:
+    RepTimer(const SimOptions &opts, std::uint32_t reps = 3,
+             std::uint32_t warmup = 1)
+        : reps_(opts.repsSet() ? opts.reps() : reps),
+          warmup_(opts.warmupSet() ? opts.warmup() : warmup)
+    {}
+
+    /** The best wall-clock milliseconds of `body` (min is robust to
+     *  host noise). */
+    template <typename F>
+    double
+    bestMs(F &&body) const
+    {
+        for (std::uint32_t r = 0; r < warmup_; ++r)
+            body();
+        double best = 0.0;
+        for (std::uint32_t r = 0; r < reps_; ++r) {
+            const double ms = timeMs(body);
+            if (r == 0 || ms < best)
+                best = ms;
+        }
+        return best;
+    }
+
+    /** "best of 3 runs after 1 warm-up", for notes and titles. */
+    std::string
+    describe() const
+    {
+        return sim::format("best of {} runs after {} warm-up", reps_,
+                           warmup_);
+    }
+
+  private:
+    std::uint32_t reps_;
+    std::uint32_t warmup_;
+};
+
+// ttda_add_bench defines both from CMake, as perfbench does.
+#ifndef TTDA_BENCH_COMPILER
+#define TTDA_BENCH_COMPILER "unknown"
+#endif
+#ifndef TTDA_BENCH_BUILD_TYPE
+#define TTDA_BENCH_BUILD_TYPE "unknown"
+#endif
+
+/**
+ * One row of a BENCH_*.json file: its name, the fields the bench
+ * measured in the order they are set, and last its "gate", which
+ * tells scripts/bench_guard.sh how to compare the row with its
+ * committed twin. {"field": F, "better": "lower"} fails when F rises
+ * above the baseline by more than the threshold, "higher" when it
+ * falls below by more, and "info" reports the row without gating it.
+ * The bench that times a row sets its gate.
+ */
+class BenchRow
+{
+  public:
+    explicit BenchRow(std::string name)
+    {
+        row_.set("name", sim::json::Value::str(std::move(name)));
+    }
+
+    /** Add a field; integers are written exactly. */
+    template <typename T>
+    BenchRow &
+    set(std::string key, const T &v)
+    {
+        using sim::json::Value;
+        if constexpr (std::is_same_v<T, bool>)
+            row_.set(std::move(key), Value::boolean(v));
+        else if constexpr (std::is_integral_v<T>)
+            row_.set(std::move(key), Value::intNum(v));
+        else if constexpr (std::is_floating_point_v<T>)
+            row_.set(std::move(key), Value::num(v));
+        else
+            row_.set(std::move(key), Value::str(std::string(v)));
+        return *this;
+    }
+
+    BenchRow &lower(const char *field) { return gate(field, "lower"); }
+    BenchRow &higher(const char *field) { return gate(field, "higher"); }
+    BenchRow &
+    info()
+    {
+        gate_ = sim::json::Value::str("info");
+        return *this;
+    }
+
+    /** Field access for a bench's own table. */
+    const sim::json::Value &
+    operator[](std::string_view key) const
+    {
+        return row_.opt(key);
+    }
+
+    sim::json::Value
+    json() const
+    {
+        SIM_ASSERT_MSG(gate_.isStr() || row_.has(gate_.get("field").asStr()),
+                       "bench row {} has no gate, or gates on a field "
+                       "it lacks",
+                       row_.get("name").asStr());
+        sim::json::Value v = row_;
+        v.set("gate", gate_);
+        return v;
+    }
+
+  private:
+    BenchRow &
+    gate(const char *field, const char *better)
+    {
+        gate_ = sim::json::Value::obj();
+        gate_.set("field", sim::json::Value::str(field));
+        gate_.set("better", sim::json::Value::str(better));
+        return *this;
+    }
+
+    sim::json::Value row_ = sim::json::Value::obj();
+    sim::json::Value gate_; //!< null until lower/higher/info
+};
+
+/**
+ * Write a BENCH_*.json file, one row per line:
+ * {"benchmark", "note", "host", "runs"}. `note` says how the rows
+ * were timed; "host" records nproc, the compiler and the build type.
+ * Returns false, with a message, when the file cannot be written.
+ */
+inline bool
+writeBench(const std::string &path, const std::string &benchmark,
+           const std::string &note, const std::vector<BenchRow> &rows)
+{
+    using sim::json::Value;
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << benchmark << ": cannot open " << path
+                  << " for writing\n";
+        return false;
+    }
+    Value host = Value::obj();
+    host.set("nproc", Value::intNum(std::thread::hardware_concurrency()));
+    host.set("compiler", Value::str(TTDA_BENCH_COMPILER));
+    host.set("build_type", Value::str(TTDA_BENCH_BUILD_TYPE));
+    os << "{\n  \"benchmark\": " << Value::str(benchmark).dump()
+       << ",\n  \"note\": " << Value::str(note).dump()
+       << ",\n  \"host\": " << host.dump() << ",\n  \"runs\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        os << "    " << rows[i].json().dump()
+           << (i + 1 < rows.size() ? ",\n" : "\n");
+    os << "  ]\n}\n";
+    if (!os.good())
+        return false;
+    std::cout << "wrote " << path << "\n";
+    return true;
+}
 
 /**
  * One-line replay header mirroring the stats JSON "meta" group, for

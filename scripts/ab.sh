@@ -8,7 +8,9 @@
 #
 #   - quickstart --trace/--stats-json/--metrics-json, bare and under
 #     --fault-plan=drop=0.02,dup=0.01,delay=0.02,spike=40 --reliable;
-#   - the bench_faults --trace file;
+#   - the bench_faults --trace file, which holds every timed rep: three,
+#     as bench_faults ran whatever the flags said before it read
+#     --reps;
 #   - the simCycles of every bench_core, bench_faults and bench_serve
 #     row;
 #   - the full stdout of bench_cmmp_crossbar, bench_cmstar,
@@ -71,7 +73,7 @@ run() { # <build-dir>: write every deterministic output to <build-dir>/ab-out
         --trace="$out/quickstart-faulted.trace.json" \
         --stats-json="$out/quickstart-faulted.stats.json" \
         --metrics-json="$out/quickstart-faulted.metrics.json" > /dev/null
-    "$bin/bench/bench_faults" "$out/bench_faults.json" --reps=1 \
+    "$bin/bench/bench_faults" "$out/bench_faults.json" --reps=3 \
         --warmup=0 --trace="$out/bench_faults.trace.json" > /dev/null
     "$bin/bench/bench_core" "$out/bench_core.json" --reps=1 \
         --warmup=0 > /dev/null

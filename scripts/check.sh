@@ -63,9 +63,12 @@ echo "$FAULTS_OUT" | grep -q 'STRANDED'
 python3 - "$OBS_DIR/faults.json" <<'EOF'
 import json, sys
 runs = json.load(open(sys.argv[1]))["runs"]
-# Reliable variants and zero-fault runs complete; bare lossy runs
-# strand.
-bad = [r["name"] for r in runs
+# The sweep's 16 rows (the two ratio rows carry no dropRate): reliable
+# variants and zero-fault runs complete; bare lossy runs strand.
+sweep = [r for r in runs if "dropRate" in r]
+if len(sweep) != 16:
+    sys.exit(f"fault smoke: {len(sweep)} sweep rows, want 16")
+bad = [r["name"] for r in sweep
        if ("_rel_" in r["name"] or r["dropRate"] == 0)
           != r["completed"]]
 if bad:

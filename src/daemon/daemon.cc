@@ -134,17 +134,83 @@ stateName(JobState s)
     return "?";
 }
 
-workloads::ArrivalKind
-arrivalKindFromName(const std::string &name)
+/** A submit request's job spec, before the range checks of
+ *  Daemon::specError; throws sim::json::Error on a field of the wrong
+ *  type, an unknown tier or an unknown arrival kind. */
+JobSpec
+specFromJson(const sim::json::Value &req)
 {
-    if (name == "poisson")
-        return workloads::ArrivalKind::Poisson;
-    if (name == "bursty")
-        return workloads::ArrivalKind::Bursty;
-    if (name == "diurnal")
-        return workloads::ArrivalKind::Diurnal;
-    throw sim::json::Error("json: unknown arrival kind \"" + name +
-                           "\"");
+    JobSpec spec;
+    if (req.has("tier")) {
+        const std::string tier = req.get("tier").asStr();
+        if (tier == "ttda")
+            spec.tier = Tier::Ttda;
+        else if (tier == "vn")
+            spec.tier = Tier::Vn;
+        else
+            throw sim::json::Error("unknown tier \"" + tier + "\"");
+    }
+    if (req.has("workload"))
+        spec.workload = req.get("workload").asStr();
+    if (req.has("args")) {
+        const auto &args = req.get("args");
+        for (std::size_t i = 0; i < args.size(); ++i)
+            spec.args.push_back(valueFromJson(args.at(i)));
+    }
+    if (req.has("requests"))
+        spec.requests = req.get("requests").asU64();
+    if (req.has("seed"))
+        spec.arrival.seed = req.get("seed").asU64();
+    if (req.has("arrival")) {
+        const auto &a = req.get("arrival");
+        if (a.has("kind")) {
+            const std::string &name = a.get("kind").asStr();
+            const auto kind = workloads::parseArrivalKind(name);
+            if (!kind)
+                throw sim::json::Error("json: unknown arrival kind \"" +
+                                       name + "\"");
+            spec.arrival.kind = *kind;
+        }
+        if (a.has("meanGap"))
+            spec.arrival.meanGap = a.get("meanGap").asDouble();
+        if (a.has("start"))
+            spec.arrival.start = a.get("start").asU64();
+        if (a.has("burstLen"))
+            spec.arrival.burstLen =
+                static_cast<std::uint32_t>(a.get("burstLen").asU64());
+        if (a.has("burstScale"))
+            spec.arrival.burstScale = a.get("burstScale").asDouble();
+        if (a.has("diurnalPeriod"))
+            spec.arrival.diurnalPeriod =
+                a.get("diurnalPeriod").asDouble();
+        if (a.has("diurnalDepth"))
+            spec.arrival.diurnalDepth =
+                a.get("diurnalDepth").asDouble();
+    }
+    if (req.has("faults")) {
+        const auto &f = req.get("faults");
+        if (f.has("seed"))
+            spec.faults.seed = f.get("seed").asU64();
+        if (f.has("dropRate"))
+            spec.faults.dropRate = f.get("dropRate").asDouble();
+        if (f.has("dupRate"))
+            spec.faults.dupRate = f.get("dupRate").asDouble();
+        if (f.has("corruptRate"))
+            spec.faults.corruptRate = f.get("corruptRate").asDouble();
+        if (f.has("delayRate"))
+            spec.faults.delayRate = f.get("delayRate").asDouble();
+        if (f.has("delaySpike"))
+            spec.faults.delaySpike = f.get("delaySpike").asU64();
+    }
+    if (req.has("loads"))
+        spec.vnLoads =
+            static_cast<std::uint32_t>(req.get("loads").asU64());
+    if (req.has("computePerLoad"))
+        spec.vnComputePerLoad = static_cast<std::uint32_t>(
+            req.get("computePerLoad").asU64());
+    if (req.has("stride"))
+        spec.vnStride = req.get("stride").asU64();
+    return spec;
 }
 
 /** Not yet Done or Failed: what a checkpoint saves as pending. */
@@ -414,81 +480,23 @@ Daemon::specError(const JobSpec &spec) const
 sim::json::Value
 Daemon::opSubmit(const sim::json::Value &req)
 {
-    // Validation failures count as rejections in the srv.* gauges.
+    // Every refused submit counts as a rejection in the srv.* gauges,
+    // a field of the wrong type as much as a value out of range.
     const auto reject = [this](const std::string &what) {
         std::lock_guard<std::mutex> lk(mu_);
         ++rejected_;
         return jerr(what);
     };
     JobSpec spec;
-    if (req.has("tier")) {
-        const std::string tier = req.get("tier").asStr();
-        if (tier == "ttda")
-            spec.tier = Tier::Ttda;
-        else if (tier == "vn")
-            spec.tier = Tier::Vn;
-        else
-            return reject("unknown tier \"" + tier + "\"");
+    try {
+        spec = specFromJson(req);
+    } catch (const sim::json::Error &e) {
+        return reject(e.what());
     }
-    if (req.has("workload"))
-        spec.workload = req.get("workload").asStr();
-    if (req.has("args")) {
-        const auto &args = req.get("args");
-        for (std::size_t i = 0; i < args.size(); ++i)
-            spec.args.push_back(valueFromJson(args.at(i)));
-    }
-    if (req.has("requests"))
-        spec.requests = req.get("requests").asU64();
     if (spec.requests > cfg_.maxRequestsPerJob)
         return reject(
             sim::format("requests exceed the per-job cap ({} > {})",
                         spec.requests, cfg_.maxRequestsPerJob));
-    if (req.has("seed"))
-        spec.arrival.seed = req.get("seed").asU64();
-    if (req.has("arrival")) {
-        const auto &a = req.get("arrival");
-        if (a.has("kind"))
-            spec.arrival.kind =
-                arrivalKindFromName(a.get("kind").asStr());
-        if (a.has("meanGap"))
-            spec.arrival.meanGap = a.get("meanGap").asDouble();
-        if (a.has("start"))
-            spec.arrival.start = a.get("start").asU64();
-        if (a.has("burstLen"))
-            spec.arrival.burstLen =
-                static_cast<std::uint32_t>(a.get("burstLen").asU64());
-        if (a.has("burstScale"))
-            spec.arrival.burstScale = a.get("burstScale").asDouble();
-        if (a.has("diurnalPeriod"))
-            spec.arrival.diurnalPeriod =
-                a.get("diurnalPeriod").asDouble();
-        if (a.has("diurnalDepth"))
-            spec.arrival.diurnalDepth =
-                a.get("diurnalDepth").asDouble();
-    }
-    if (req.has("faults")) {
-        const auto &f = req.get("faults");
-        if (f.has("seed"))
-            spec.faults.seed = f.get("seed").asU64();
-        if (f.has("dropRate"))
-            spec.faults.dropRate = f.get("dropRate").asDouble();
-        if (f.has("dupRate"))
-            spec.faults.dupRate = f.get("dupRate").asDouble();
-        if (f.has("corruptRate"))
-            spec.faults.corruptRate = f.get("corruptRate").asDouble();
-        if (f.has("delayRate"))
-            spec.faults.delayRate = f.get("delayRate").asDouble();
-        if (f.has("delaySpike"))
-            spec.faults.delaySpike = f.get("delaySpike").asU64();
-    }
-    if (req.has("loads"))
-        spec.vnLoads =
-            static_cast<std::uint32_t>(req.get("loads").asU64());
-    if (req.has("computePerLoad"))
-        spec.vnComputePerLoad = static_cast<std::uint32_t>(
-            req.get("computePerLoad").asU64());
-    if (req.has("stride"))
-        spec.vnStride = req.get("stride").asU64();
     if (const std::string err = specError(spec); !err.empty())
         return reject(err);
 

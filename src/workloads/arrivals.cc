@@ -105,19 +105,14 @@ arrivalKindName(ArrivalKind kind)
     return "?";
 }
 
-ArrivalKind
+std::optional<ArrivalKind>
 parseArrivalKind(std::string_view name)
 {
-    if (name == "poisson")
-        return ArrivalKind::Poisson;
-    if (name == "bursty")
-        return ArrivalKind::Bursty;
-    if (name == "diurnal")
-        return ArrivalKind::Diurnal;
-    SIM_ASSERT_MSG(false, "unknown arrival kind '{}'",
-                   std::string(name));
-    return ArrivalKind::Poisson; // unreachable
-
+    for (const auto kind : {ArrivalKind::Poisson, ArrivalKind::Bursty,
+                            ArrivalKind::Diurnal})
+        if (name == arrivalKindName(kind))
+            return kind;
+    return std::nullopt;
 }
 
 } // namespace workloads

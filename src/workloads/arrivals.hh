@@ -23,6 +23,7 @@
 #define TTDA_WORKLOADS_ARRIVALS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -75,8 +76,9 @@ std::vector<sim::Cycle> arrivalSchedule(const ArrivalConfig &cfg,
 /** Shape name for reports ("poisson"/"bursty"/"diurnal"). */
 const char *arrivalKindName(ArrivalKind kind);
 
-/** Parse a shape name; fatal on an unknown one. */
-ArrivalKind parseArrivalKind(std::string_view name);
+/** The shape arrivalKindName() gives `name`; none for an unknown
+ *  name. */
+std::optional<ArrivalKind> parseArrivalKind(std::string_view name);
 
 } // namespace workloads
 

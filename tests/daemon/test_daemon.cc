@@ -415,6 +415,7 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
         req.set("arrival", std::move(arrival));
         return req;
     };
+    malformed.push_back(withArrival("weekly", "meanGap", Value::num(8.0)));
     malformed.push_back(withArrival("bursty", "burstLen", Value::intNum(0)));
     malformed.push_back(withArrival("bursty", "burstScale", Value::num(2.0)));
     malformed.push_back(
@@ -446,6 +447,14 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
     malformed.push_back(withArgs(
         "trapezoid", {Value::intNum(0), Value::intNum(1),
                       Value::intNum(0)}));
+    // Fields of the wrong type are refused, and counted, like values
+    // out of range.
+    malformed.push_back(withArgs("fib", {Value::str("x")}));
+    {
+        auto req = fibSubmit(7, 2, 1);
+        req.set("requests", Value::str("two"));
+        malformed.push_back(std::move(req));
+    }
     for (const Value &spec : malformed) {
         const Value resp = c.request(spec);
         EXPECT_FALSE(resp.get("ok").asBool()) << spec.dump();
@@ -466,12 +475,14 @@ TEST(Daemon, AdmissionControlAndProtocolErrors)
     const Value parseErr = sim::json::parse(c.readLine());
     EXPECT_FALSE(parseErr.get("ok").asBool());
 
-    // Rejections were tallied, nothing was admitted.
+    // Every refused submit was tallied (overCap, unknown and the
+    // malformed list; a bad op or bad JSON is no submit), nothing was
+    // admitted.
     auto statusReq = Value::obj();
     statusReq.set("op", Value::str("status"));
     const Value st = c.request(statusReq);
     EXPECT_EQ(st.get("srv").get("admitted").asU64(), 0u);
-    EXPECT_GE(st.get("srv").get("rejected").asU64(), 1u);
+    EXPECT_EQ(st.get("srv").get("rejected").asU64(), 2 + malformed.size());
 
     h.shutdownAndJoin(c);
 
