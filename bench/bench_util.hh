@@ -517,10 +517,14 @@ class BenchRow
         return row_.opt(key);
     }
 
+    /** The row as written: its fields, then its gate, which every
+     *  row must have. */
     sim::json::Value
     json() const
     {
-        SIM_ASSERT_MSG(gate_.isStr() || row_.has(gate_.get("field").asStr()),
+        SIM_ASSERT_MSG(gate_.isStr() ||
+                           (gate_.isObj() &&
+                            row_.has(gate_.get("field").asStr())),
                        "bench row {} has no gate, or gates on a field "
                        "it lacks",
                        row_.get("name").asStr());
