@@ -252,8 +252,9 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" \
 "$TSAN_DIR/tests/test_fleet" --gtest_repeat=3 > /dev/null
 
 # --- Optional throughput guard -------------------------------------
-# CHECK=1 also runs the bench_core regression guard (a separate
-# non-sanitized build; sanitizer overhead would swamp the timings).
+# CHECK=1 also runs the host-time regression guard over the four
+# BENCH_*.json files (a separate non-sanitized build; sanitizer
+# overhead would swamp the timings).
 if [[ "${CHECK:-0}" == "1" ]]; then
     scripts/bench_guard.sh
 fi
