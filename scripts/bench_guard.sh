@@ -48,19 +48,22 @@ import json, os, sys
 t = float(sys.argv[1]) / 100
 failed = []
 
+def number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
 def valid(row):
     g = row.get("gate")
     return g == "info" or (
         isinstance(g, dict) and g.get("better") in ("lower", "higher")
-        and isinstance(row.get(g.get("field")), (int, float)))
+        and number(row.get(g.get("field"))))
 
 for base_path, cur_path in zip(sys.argv[2::2], sys.argv[3::2]):
     if not os.path.exists(base_path):
         sys.exit(f"bench_guard: no baseline {base_path}")
     base_doc, cur_doc = (json.load(open(p)) for p in (base_path, cur_path))
-    if base_doc["host"] != cur_doc["host"]:
+    if base_doc.get("host") != cur_doc.get("host"):
         print(f"bench_guard: note: {base_path} was measured on "
-              f"{base_doc['host']}, this run on {cur_doc['host']}")
+              f"{base_doc.get('host')}, this run on {cur_doc.get('host')}")
     base = {r["name"]: r for r in base_doc["runs"]}
     cur = {r["name"]: r for r in cur_doc["runs"]}
     for name in sorted(base.keys() | cur.keys()):
@@ -73,7 +76,7 @@ for base_path, cur_path in zip(sys.argv[2::2], sys.argv[3::2]):
             continue
         elif b["gate"] == "info":
             verdict, detail = "info", ""
-        elif not isinstance(c.get(b["gate"]["field"]), (int, float)):
+        elif not number(c.get(b["gate"]["field"])):
             verdict, detail = "FAIL", f"lacks {b['gate']['field']}"
         else:
             f, better = b["gate"]["field"], b["gate"]["better"]
