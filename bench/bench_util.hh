@@ -558,16 +558,11 @@ writeBench(const std::string &path, const std::string &benchmark,
            const std::string &note, const std::vector<BenchRow> &rows)
 {
     using sim::json::Value;
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << benchmark << ": cannot open " << path
-                  << " for writing\n";
-        return false;
-    }
     Value host = Value::obj();
     host.set("nproc", Value::intNum(std::thread::hardware_concurrency()));
     host.set("compiler", Value::str(TTDA_BENCH_COMPILER));
     host.set("build_type", Value::str(TTDA_BENCH_BUILD_TYPE));
+    std::ofstream os(path);
     os << "{\n  \"benchmark\": " << Value::str(benchmark).dump()
        << ",\n  \"note\": " << Value::str(note).dump()
        << ",\n  \"host\": " << host.dump() << ",\n  \"runs\": [\n";
@@ -575,8 +570,10 @@ writeBench(const std::string &path, const std::string &benchmark,
         os << "    " << rows[i].json().dump()
            << (i + 1 < rows.size() ? ",\n" : "\n");
     os << "  ]\n}\n";
-    if (!os.good())
+    if (!os) {
+        std::cerr << benchmark << ": cannot write " << path << "\n";
         return false;
+    }
     std::cout << "wrote " << path << "\n";
     return true;
 }
