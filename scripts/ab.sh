@@ -8,9 +8,12 @@
 #
 #   - quickstart --trace/--stats-json/--metrics-json, bare and under
 #     --fault-plan=drop=0.02,dup=0.01,delay=0.02,spike=40 --reliable;
-#   - the bench_faults --trace file, which holds every timed rep: three,
-#     as bench_faults ran whatever the flags said before it read
-#     --reps;
+#   - from one bench_faults run at three reps: its --trace file, which
+#     holds every timed rep; its --stats-json file, whose last writer is
+#     vn_rel_drop5pct, so it holds the vn machine's "meta" and "faults"
+#     groups under loss and ReliableNet; and everything it prints before
+#     its first table, the deadlock reports of its stranded TTDA and vn
+#     rows, loss classification included;
 #   - the simCycles of every bench_core, bench_faults and bench_serve
 #     row;
 #   - the full stdout of bench_cmmp_crossbar, bench_cmstar,
@@ -74,7 +77,9 @@ run() { # <build-dir>: write every deterministic output to <build-dir>/ab-out
         --stats-json="$out/quickstart-faulted.stats.json" \
         --metrics-json="$out/quickstart-faulted.metrics.json" > /dev/null
     "$bin/bench/bench_faults" "$out/bench_faults.json" --reps=3 \
-        --warmup=0 --trace="$out/bench_faults.trace.json" > /dev/null
+        --warmup=0 --trace="$out/bench_faults.trace.json" \
+        --stats-json="$out/bench_faults.stats.json" |
+        sed '/^== /,$d' > "$out/bench_faults.reports"
     "$bin/bench/bench_core" "$out/bench_core.json" --reps=1 \
         --warmup=0 > /dev/null
     "$bin/bench/bench_serve" "$out/bench_serve.json" --reps=1 \
