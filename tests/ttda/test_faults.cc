@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/format.hh"
+#include "common/json.hh"
 #include "ttda/machine.hh"
 #include "workloads/dfg_programs.hh"
 
@@ -76,6 +79,28 @@ lossyConfig(double drop_rate)
     cfg.faults.delayRate = drop_rate;
     cfg.faults.delaySpike = 16;
     return cfg;
+}
+
+/** The keys of one stats-JSON group. */
+std::set<std::string>
+groupKeys(const std::string &statsJson, const char *group)
+{
+    const sim::json::Value doc = sim::json::parse(statsJson);
+    std::set<std::string> keys;
+    for (const auto &[key, value] : doc.get(group).members())
+        keys.insert(key);
+    return keys;
+}
+
+/** Run the trapezoid workload on `m` (built from `program`, whose
+ *  code block is `cb`). */
+void
+runTrapezoid(ttda::Machine &m, std::uint16_t cb)
+{
+    m.input(cb, 0, Value{0.0});
+    m.input(cb, 1, Value{2.0});
+    m.input(cb, 2, Value{std::int64_t{48}});
+    m.run();
 }
 
 TEST(TtdaFaults, DisabledPlanCreatesNoInjector)
@@ -207,6 +232,76 @@ TEST(TtdaFaults, FaultSeedDerivedFromMachineSeedWhenUnset)
     EXPECT_EQ(a1.statsJson, a2.statsJson);
     const RunResult b = run(99);
     EXPECT_NE(a1.statsJson, b.statsJson);
+}
+
+TEST(TtdaFaults, LossyReliableRunWritesTheMetaAndFaultsKeys)
+{
+    graph::Program program;
+    const auto cb = workloads::buildTrapezoid(program);
+    auto cfg = lossyConfig(0.05);
+    cfg.reliableNet = true;
+    const RunResult r = runOnce(
+        program, cfg, cb,
+        {Value{0.0}, Value{2.0}, Value{std::int64_t{48}}});
+    EXPECT_EQ(groupKeys(r.statsJson, "meta"),
+              (std::set<std::string>{"faultSeed", "reliable", "seed"}));
+    EXPECT_EQ(groupKeys(r.statsJson, "faults"),
+              (std::set<std::string>{
+                  "abandoned", "acksSent", "corrupts", "decisions",
+                  "delays", "destroyed", "drops", "dupStoresSuppressed",
+                  "dupTokensDropped", "duplicates", "envelopesSent",
+                  "linkDownDrops", "retransmits", "rxDuplicates",
+                  "staleAcks"}));
+}
+
+TEST(TtdaFaults, PlanThatDestroysNothingReadsAsTrueDeadlock)
+{
+    // Delay spikes lose no packet, so whatever the run does, the
+    // report must not blame the fabric.
+    graph::Program program;
+    const auto cb = workloads::buildTrapezoid(program);
+    ttda::MachineConfig cfg = lossyConfig(0.0);
+    cfg.faults.delayRate = 0.05;
+    ttda::Machine m(program, cfg);
+    runTrapezoid(m, cb);
+    ASSERT_NE(m.faultInjector(), nullptr);
+    EXPECT_GT(m.faultInjector()->stats().delays, 0u);
+    EXPECT_EQ(m.faultInjector()->stats().destroyed(), 0u);
+    const std::string report = m.deadlockReport();
+    EXPECT_NE(report.find("classification: true deadlock — no packets "
+                          "were lost\n"),
+              std::string::npos)
+        << report;
+}
+
+TEST(TtdaFaults, ReliableRunThatGivesUpNamesItsAbandonedSends)
+{
+    // Every link is down for the whole run and each send gets two
+    // attempts: the protocol abandons sends, and the report says how
+    // many and after how many attempts.
+    graph::Program program;
+    const auto cb = workloads::buildTrapezoid(program);
+    ttda::MachineConfig cfg;
+    cfg.numPEs = 4;
+    cfg.netLatency = 2;
+    cfg.faults = sim::fault::FaultPlan::parse("linkdown@0-1000000");
+    cfg.reliableNet = true;
+    cfg.retry.maxAttempts = 2;
+    ttda::Machine m(program, cfg);
+    runTrapezoid(m, cb);
+    ASSERT_TRUE(m.deadlocked());
+    ASSERT_NE(m.reliableNet(), nullptr);
+    const std::uint64_t abandoned =
+        m.reliableNet()->relStats().abandoned.value();
+    EXPECT_GT(abandoned, 0u);
+    const std::string report = m.deadlockReport();
+    EXPECT_NE(report.find(sim::format(
+                  "classification: stranded by loss — {} packet(s) "
+                  "destroyed by fault injection, {} send(s) abandoned "
+                  "after 2 attempts\n",
+                  m.faultInjector()->stats().destroyed(), abandoned)),
+              std::string::npos)
+        << report;
 }
 
 } // namespace

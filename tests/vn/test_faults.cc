@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "common/format.hh"
+#include "common/json.hh"
 #include "vn/machine.hh"
 #include "workloads/vn_programs.hh"
 
@@ -27,10 +30,10 @@ struct RunResult
 constexpr std::uint32_t kCores = 4;
 constexpr std::uint64_t kWords = 1024;
 
-/** Trace-driven cores, all traffic remote so every reference crosses
- *  the (possibly lossy) fabric. */
-RunResult
-runTraced(vn::VnMachineConfig cfg)
+/** A machine of trace-driven cores, all traffic remote so every
+ *  reference crosses the (possibly lossy) fabric. */
+vn::VnMachine
+tracedMachine(vn::VnMachineConfig cfg)
 {
     cfg.numCores = kCores;
     cfg.wordsPerModule = kWords;
@@ -47,6 +50,13 @@ runTraced(vn::VnMachineConfig cfg)
         tc.seed = 7 + c;
         m.core(c).attachTrace(workloads::makeUniformTrace(tc));
     }
+    return m;
+}
+
+RunResult
+runTraced(const vn::VnMachineConfig &cfg)
+{
+    vn::VnMachine m = tracedMachine(cfg);
     RunResult r;
     r.cycles = m.run();
     r.deadlocked = m.deadlocked();
@@ -81,27 +91,23 @@ lossyConfig(double drop_rate)
     return cfg;
 }
 
+/** The keys of one stats-JSON group. */
+std::set<std::string>
+groupKeys(const std::string &statsJson, const char *group)
+{
+    const sim::json::Value doc = sim::json::parse(statsJson);
+    std::set<std::string> keys;
+    for (const auto &[key, value] : doc.get(group).members())
+        keys.insert(key);
+    return keys;
+}
+
 TEST(VnFaults, BareMachineStrandsAndIsClassifiedAsLoss)
 {
     // 5% drop, every reference remote: some request or response dies,
     // its core parks in WaitingMem forever, and the run must end as a
     // classified deadlock rather than spin.
-    vn::VnMachineConfig cfg = lossyConfig(0.05);
-    cfg.numCores = kCores;
-    cfg.wordsPerModule = kWords;
-    cfg.colocated = false;
-    vn::VnMachine m(cfg);
-    for (std::uint32_t c = 0; c < kCores; ++c) {
-        workloads::TraceConfig tc;
-        tc.coreId = c;
-        tc.numCores = kCores;
-        tc.wordsPerModule = kWords;
-        tc.references = 200;
-        tc.computePerRef = 3;
-        tc.remoteFraction = 1.0;
-        tc.seed = 7 + c;
-        m.core(c).attachTrace(workloads::makeUniformTrace(tc));
-    }
+    vn::VnMachine m = tracedMachine(lossyConfig(0.05));
     m.run();
     ASSERT_TRUE(m.deadlocked());
     ASSERT_NE(m.faultInjector(), nullptr);
@@ -152,6 +158,66 @@ TEST(VnFaults, MemStallWindowDelaysCompletionDeterministically)
     const RunResult r = expectDeterministic(cfg);
     EXPECT_FALSE(r.deadlocked);
     EXPECT_GT(r.cycles, truth.cycles);
+}
+
+TEST(VnFaults, LossyReliableRunWritesTheMetaAndFaultsKeys)
+{
+    vn::VnMachineConfig cfg = lossyConfig(0.05);
+    cfg.reliableNet = true;
+    const RunResult r = runTraced(cfg);
+    EXPECT_EQ(groupKeys(r.statsJson, "meta"),
+              (std::set<std::string>{"faultSeed", "reliable", "seed"}));
+    EXPECT_EQ(groupKeys(r.statsJson, "faults"),
+              (std::set<std::string>{
+                  "abandoned", "acksSent", "corrupts", "decisions",
+                  "delays", "destroyed", "drops", "dupsSuppressed",
+                  "duplicates", "envelopesSent", "linkDownDrops",
+                  "retransmits", "rxDuplicates", "staleAcks",
+                  "staleResponses"}));
+}
+
+TEST(VnFaults, PlanThatDestroysNothingReadsAsTrueDeadlock)
+{
+    // Delay spikes lose no packet, so whatever the run does, the
+    // report must not blame the fabric.
+    vn::VnMachineConfig cfg = lossyConfig(0.0);
+    cfg.faults.delayRate = 0.05;
+    vn::VnMachine m = tracedMachine(cfg);
+    m.run();
+    ASSERT_NE(m.faultInjector(), nullptr);
+    EXPECT_GT(m.faultInjector()->stats().delays, 0u);
+    EXPECT_EQ(m.faultInjector()->stats().destroyed(), 0u);
+    const std::string report = m.deadlockReport();
+    EXPECT_NE(report.find("classification: true deadlock — no packets "
+                          "were lost\n"),
+              std::string::npos)
+        << report;
+}
+
+TEST(VnFaults, ReliableRunThatGivesUpNamesItsAbandonedSends)
+{
+    // Every link is down for the whole run and each send gets two
+    // attempts: the protocol abandons sends, and the report says how
+    // many and after how many attempts.
+    vn::VnMachineConfig cfg;
+    cfg.netLatency = 8;
+    cfg.faults = sim::fault::FaultPlan::parse("linkdown@0-1000000");
+    cfg.reliableNet = true;
+    cfg.retry.maxAttempts = 2;
+    vn::VnMachine m = tracedMachine(cfg);
+    m.run();
+    ASSERT_TRUE(m.deadlocked());
+    ASSERT_NE(m.relStats(), nullptr);
+    const std::uint64_t abandoned = m.relStats()->abandoned.value();
+    EXPECT_GT(abandoned, 0u);
+    const std::string report = m.deadlockReport();
+    EXPECT_NE(report.find(sim::format(
+                  "classification: stranded by loss — {} packet(s) "
+                  "destroyed by fault injection, {} send(s) abandoned "
+                  "after 2 attempts\n",
+                  m.faultInjector()->stats().destroyed(), abandoned)),
+              std::string::npos)
+        << report;
 }
 
 } // namespace
