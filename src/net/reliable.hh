@@ -354,6 +354,7 @@ class ReliableNet : public Network<Payload>
     }
 
     const RelStats &relStats() const { return relStats_; }
+    const RetryConfig &retry() const { return cfg_; }
     /** Envelope-level traffic statistics of the wrapped fabric. */
     const NetStats &innerStats() const { return inner_->stats(); }
     /** Sends still awaiting acknowledgement (forensics hook). */

@@ -5,11 +5,6 @@
 
 #include "common/format.hh"
 #include "common/logging.hh"
-#include "net/crossbar.hh"
-#include "net/hierarchical.hh"
-#include "net/hypercube.hh"
-#include "net/ideal.hh"
-#include "net/omega.hh"
 
 namespace ttda
 {
@@ -32,62 +27,17 @@ sinceStamp(sim::Cycle now, std::uint32_t born)
     return static_cast<std::uint32_t>(now) - born;
 }
 
-/** Build the configured topology carrying payload P — the plain token
- *  for an unprotected machine, Envelope<Token> under ReliableNet. */
-template <typename P>
-std::unique_ptr<net::Network<P>>
-makeNetwork(const MachineConfig &cfg)
-{
-    using Topology = MachineConfig::Topology;
-    switch (cfg.topology) {
-      case Topology::Ideal:
-        return std::make_unique<net::IdealNetwork<P>>(
-            cfg.numPEs, cfg.netLatency, cfg.netJitter, cfg.seed);
-      case Topology::Crossbar:
-        return std::make_unique<net::Crossbar<P>>(cfg.numPEs,
-                                                  cfg.netLatency);
-      case Topology::Hypercube:
-        SIM_ASSERT_MSG(net::detail::isPow2(cfg.numPEs) &&
-                           cfg.numPEs >= 2,
-                       "hypercube machine needs 2^d >= 2 PEs, got {}",
-                       cfg.numPEs);
-        return std::make_unique<net::Hypercube<P>>(
-            net::detail::log2(cfg.numPEs), cfg.hopLatency);
-      case Topology::Omega:
-        SIM_ASSERT_MSG(net::detail::isPow2(cfg.numPEs) &&
-                           cfg.numPEs >= 2,
-                       "omega machine needs 2^k >= 2 PEs, got {}",
-                       cfg.numPEs);
-        return std::make_unique<net::OmegaNet<P>>(cfg.numPEs);
-      case Topology::Hierarchical:
-        return std::make_unique<net::HierarchicalNet<P>>(
-            cfg.numPEs, cfg.clusterSize, cfg.localLatency,
-            cfg.globalLatency);
-    }
-    sim::panic("unknown topology");
-}
-
 } // namespace
 
 Machine::Machine(const graph::Program &program, MachineConfig config)
-    : program_(program), cfg_(config), exec_(program_, contexts_)
+    : program_(program), cfg_(config), exec_(program_, contexts_),
+      fabric_(cfg_, cfg_.numPEs, cfg_.hopLatency)
 {
-    SIM_ASSERT_MSG(cfg_.numPEs >= 1, "machine needs at least one PE");
     SIM_ASSERT_MSG(cfg_.threads <= 1,
                    "MachineConfig::threads is retired: the machine runs "
                    "on one host thread (got {})",
                    cfg_.threads);
     program_.validate();
-    if (cfg_.reliableNet) {
-        auto rel = std::make_unique<net::ReliableNet<graph::Token>>(
-            makeNetwork<net::Envelope<graph::Token>>(cfg_),
-            cfg_.retry);
-        rel_ = rel.get();
-        net_ = std::move(rel);
-    } else {
-        net_ = makeNetwork<graph::Token>(cfg_);
-    }
-    setFaultPlan(cfg_.faults);
     pes_.reserve(cfg_.numPEs);
     for (std::uint32_t p = 0; p < cfg_.numPEs; ++p)
         pes_.push_back(std::make_unique<Pe>(cfg_.isWordsPerPe));
@@ -106,8 +56,15 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
     if (cfg_.tracer && cfg_.tracer->active()) {
         observing_ = true;
         trc_ = cfg_.tracer;
-        nameTraceTracks();
-        net_->setTracer(cfg_.tracer, cfg_.numPEs);
+        for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
+            trc_->processName(p, sim::format("pe{}", p));
+            trc_->threadName(p, kTidWm, "wait-match");
+            trc_->threadName(p, kTidFetch, "fetch");
+            trc_->threadName(p, kTidAlu, "alu");
+            trc_->threadName(p, kTidOutput, "output");
+            trc_->threadName(p, kTidIstr, "istructure");
+        }
+        fabric_.trace(*trc_);
     }
     metrics_ = cfg_.metrics;
     if (metrics_) {
@@ -119,23 +76,6 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
         instrOffsets_ = program_.instrIndexOffsets();
         profile_.resize(program_.totalInstructions());
     }
-}
-
-void
-Machine::nameTraceTracks()
-{
-    sim::Tracer &t = *cfg_.tracer;
-    for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
-        t.processName(p, sim::format("pe{}", p));
-        t.threadName(p, kTidWm, "wait-match");
-        t.threadName(p, kTidFetch, "fetch");
-        t.threadName(p, kTidAlu, "alu");
-        t.threadName(p, kTidOutput, "output");
-        t.threadName(p, kTidIstr, "istructure");
-    }
-    t.processName(cfg_.numPEs, "network");
-    for (std::uint32_t p = 0; p < cfg_.numPEs; ++p)
-        t.threadName(cfg_.numPEs, p, sim::format("port{}", p));
 }
 
 Machine::~Machine() = default;
@@ -156,9 +96,9 @@ Machine::initMetrics()
     mIds_.netQueued = m.gauge("net.queued");
     mIds_.netInFlight = m.gauge("net.inFlight");
     mIds_.isDeferred = m.gauge("is.deferredBacklog");
-    if (faults_)
+    if (fabric_.faults())
         mIds_.faultsDestroyed = m.rate("faults.destroyed");
-    if (rel_) {
+    if (fabric_.rel()) {
         mIds_.relRetransmits = m.rate("rel.retransmits");
         mIds_.relPending = m.gauge("rel.pending");
     }
@@ -183,7 +123,7 @@ Machine::sampleMetrics()
     }
     m.set(mIds_.wmEntries, static_cast<double>(wmEntries_));
     m.set(mIds_.activeItems, static_cast<double>(activeItems_));
-    const net::NetOccupancy occ = net_->occupancy();
+    const net::NetOccupancy occ = fabric_.net().occupancy();
     m.set(mIds_.netQueued, static_cast<double>(occ.queued));
     m.set(mIds_.netInFlight, static_cast<double>(occ.inFlight));
     // Deferred-read backlog from the cumulative controller counters:
@@ -192,15 +132,13 @@ Machine::sampleMetrics()
     m.set(mIds_.isDeferred,
           static_cast<double>(is.fetchesDeferred.value() -
                               is.deferredServed.value()));
-    if (faults_)
+    if (const auto *faults = fabric_.faults())
         m.set(mIds_.faultsDestroyed,
-              static_cast<double>(faults_->stats().destroyed()));
-    if (rel_) {
+              static_cast<double>(faults->stats().destroyed()));
+    if (const auto *rel = fabric_.rel()) {
         m.set(mIds_.relRetransmits,
-              static_cast<double>(
-                  rel_->relStats().retransmits.value()));
-        m.set(mIds_.relPending,
-              static_cast<double>(rel_->pendingCount()));
+              static_cast<double>(rel->relStats().retransmits.value()));
+        m.set(mIds_.relPending, static_cast<double>(rel->pendingCount()));
     }
     m.set(mIds_.srvInFlight,
           static_cast<double>(nextAdmit_ - reqCompleted_));
@@ -280,7 +218,7 @@ Machine::route(sim::NodeId src, graph::Token t)
         pes_[src]->stats.bypassTokens.inc();
         pushInQ(*pes_[src], std::move(t));
     } else {
-        net_->send(src, dst, std::move(t));
+        fabric_.net().send(src, dst, std::move(t));
     }
 }
 
@@ -398,7 +336,7 @@ Machine::serveAdvance()
         // machine is idle — so one step() covers the gap).
         wmResidency_.sample(static_cast<double>(wmEntries_),
                             arrival - now_);
-        net_->step(arrival - 1);
+        fabric_.net().step(arrival - 1);
         now_ = arrival;
         SIM_ASSERT_MSG(now_ < cfg_.maxCycles,
                        "machine exceeded {} cycles; livelock?",
@@ -531,7 +469,7 @@ Machine::stepInput(Pe &pe, sim::NodeId id)
             // An already-filled slot is a graph bug on a reliable
             // fabric; under fault injection it is a duplicated packet
             // and the section discards it idempotently.
-            SIM_ASSERT_MSG(faults_ != nullptr,
+            SIM_ASSERT_MSG(fabric_.faults() != nullptr,
                            "duplicate token for activity {} port {}: "
                            "slot already filled (non-deterministic "
                            "graph?)", tok.tag, tok.port);
@@ -845,7 +783,7 @@ Machine::stepIs(Pe &pe, sim::NodeId id)
             // Single-assignment violation — unless fault injection is
             // duplicating packets and this is a replayed STORE of the
             // value already present, which is absorbed idempotently.
-            if (faults_ &&
+            if (fabric_.faults() &&
                 pe.isStore.peek(tok.addr / cfg_.numPEs) == tok.data)
             {
                 pe.stats.dupStoresSuppressed.inc();
@@ -909,7 +847,7 @@ Machine::idle() const
     // Occupancy is maintained incrementally at every queue push/pop
     // and busy-countdown transition, so going idle is O(1) instead of
     // an O(numPEs) sweep.
-    return activeItems_ == 0 && busyStages_ == 0 && net_->idle();
+    return activeItems_ == 0 && busyStages_ == 0 && fabric_.net().idle();
 }
 
 sim::Cycle
@@ -926,7 +864,7 @@ Machine::nextPeEvent() const
     // in-flight work keeps draining, and deferring those wakeups
     // would move the machine's quiescence cycle relative to the
     // per-cycle engine.
-    const bool stallable = faults_ && faults_->hasPeStalls();
+    const bool stallable = fabric_.faults() && fabric_.faults()->hasPeStalls();
     sim::Cycle next = sim::neverCycle;
     for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
         const Pe &pe = *pes_[p];
@@ -956,7 +894,7 @@ Machine::nextPeEvent() const
         if (!pe.outQ.empty())
             start = std::min(start, now_);
         if (stallable && start != sim::neverCycle)
-            start = faults_->peResume(start, p);
+            start = fabric_.faults()->peResume(start, p);
         next = std::min(next, std::min(start, drain));
         if (next <= now_)
             break; // something is due this very cycle
@@ -967,7 +905,7 @@ Machine::nextPeEvent() const
 void
 Machine::skipAhead()
 {
-    sim::Cycle next = std::min(nextPeEvent(), net_->nextDelivery());
+    sim::Cycle next = std::min(nextPeEvent(), fabric_.net().nextDelivery());
     // Serving: never jump past the next admissible arrival (a shut
     // gate cannot reopen without machine progress, which the scan
     // already tracks, so blocked arrivals don't cap the jump).
@@ -994,7 +932,7 @@ Machine::skipAhead()
     // first iteration after the jump get the correct issue stamp. By
     // the nextDelivery() contract nothing can retire before `next`, so
     // one step() call reproduces the skipped cycles' no-op steps.
-    net_->step(next - 1);
+    fabric_.net().step(next - 1);
     now_ = next;
     SIM_ASSERT_MSG(now_ < cfg_.maxCycles,
                    "machine exceeded {} cycles; livelock?",
@@ -1005,7 +943,7 @@ template <bool Obs>
 void
 Machine::runLoop()
 {
-    const bool peStalls = faults_ && faults_->hasPeStalls();
+    const bool peStalls = fabric_.faults() && fabric_.faults()->hasPeStalls();
     for (;;) {
         // Pause point: checked at the top of the tick, before any
         // admission or stage work, so a paused machine holds no
@@ -1043,7 +981,7 @@ Machine::runLoop()
         }
         for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
             Pe &pe = *pes_[p];
-            if (peStalls && faults_->peStalled(now_, p)) {
+            if (peStalls && fabric_.faults()->peStalled(now_, p)) {
                 tickStalled(pe);
                 continue;
             }
@@ -1052,10 +990,10 @@ Machine::runLoop()
             stepIs<Obs>(pe, p);
             stepOutput<Obs>(pe, p);
         }
-        net_->step(now_);
+        fabric_.net().step(now_);
         ++now_;
         for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
-            if (auto tok = net_->receive(p))
+            if (auto tok = fabric_.net().receive(p))
                 pushInQ(*pes_[p], std::move(*tok));
         }
         wmResidency_.sample(static_cast<double>(wmEntries_));
@@ -1102,8 +1040,7 @@ void
 Machine::setFaultPlan(const sim::fault::FaultPlan &plan)
 {
     cfg_.faults = plan;
-    faults_ = sim::fault::makeInjector(plan, cfg_.seed);
-    net_->setFaultInjector(faults_.get());
+    fabric_.setFaultPlan(plan);
 }
 
 std::string
@@ -1122,27 +1059,8 @@ Machine::deadlockReport() const
        << " stranded activities\n";
 
     // 0. When fault injection was active, say whether the quiescence
-    // can be blamed on destroyed traffic at all: a run that lost no
-    // packets deadlocked on its own merits.
-    if (faults_) {
-        const auto &fs = faults_->stats();
-        const std::uint64_t abandoned =
-            rel_ ? rel_->relStats().abandoned.value() : 0;
-        if (fs.destroyed() > 0 || abandoned > 0) {
-            os << "  classification: stranded by loss — "
-               << fs.destroyed()
-               << " packet(s) destroyed by fault injection";
-            if (rel_) {
-                os << ", " << abandoned
-                   << " send(s) abandoned after "
-                   << cfg_.retry.maxAttempts << " attempts";
-            }
-            os << "\n";
-        } else {
-            os << "  classification: true deadlock — no packets were "
-                  "lost\n";
-        }
-    }
+    // can be blamed on destroyed traffic at all.
+    fabric_.classifyLoss(os);
 
     // 0b. Serving runs: attribute stranded activities to the requests
     // that spawned them (root-context tags carry the request's
@@ -1247,27 +1165,27 @@ Machine::deadlockReport() const
     //   sent + duplicates = delivered + destroyed + stillInside,
     // and with the reliability wrapper each abandoned send is a
     // payload that left the books without being delivered.
-    const auto &ns = net_->stats();
+    const auto &ns = fabric_.net().stats();
+    const auto *rel = fabric_.rel();
+    const auto *faults = fabric_.faults();
     std::uint64_t credits = ns.sent.value();
     std::uint64_t debits = ns.delivered.value();
-    if (rel_) {
-        debits += rel_->relStats().abandoned.value();
-    } else if (faults_) {
-        const auto &fs = faults_->stats();
-        credits += fs.duplicates;
-        debits += fs.destroyed();
+    if (rel) {
+        debits += rel->relStats().abandoned.value();
+    } else if (faults) {
+        credits += faults->stats().duplicates;
+        debits += faults->stats().destroyed();
     }
     if (credits != debits) {
         os << "  network: " << credits - debits
            << " packet(s) in flight (" << ns.sent.value() << " sent, "
            << ns.delivered.value() << " delivered";
-        if (rel_) {
-            os << ", "
-               << rel_->relStats().abandoned.value() << " abandoned";
-        } else if (faults_) {
-            os << ", " << faults_->stats().duplicates
-               << " duplicated, " << faults_->stats().destroyed()
-               << " destroyed";
+        if (rel) {
+            os << ", " << rel->relStats().abandoned.value()
+               << " abandoned";
+        } else if (faults) {
+            os << ", " << faults->stats().duplicates << " duplicated, "
+               << faults->stats().destroyed() << " destroyed";
         }
         os << ")\n";
     }
@@ -1320,21 +1238,14 @@ Machine::peStats(std::uint32_t pe) const
 const net::NetStats &
 Machine::netStats() const
 {
-    return net_->stats();
+    return fabric_.net().stats();
 }
 
 std::vector<sim::StatGroup>
 Machine::statGroups() const
 {
     std::vector<sim::StatGroup> groups;
-    // Replay header: everything needed to reproduce this run.
-    sim::StatGroup meta("meta");
-    meta.set("seed", static_cast<double>(cfg_.seed));
-    if (faults_)
-        meta.set("faultSeed",
-                 static_cast<double>(faults_->plan().seed));
-    meta.set("reliable", rel_ ? 1.0 : 0.0);
-    groups.push_back(std::move(meta));
+    groups.push_back(fabric_.metaStats());
 
     sim::StatGroup machine("machine");
     machine.set("cycles", static_cast<double>(now_));
@@ -1344,8 +1255,8 @@ Machine::statGroups() const
     machine.set("contextsCreated",
                 static_cast<double>(contexts_.totalCreated()));
     machine.set("netPacketsSent",
-                static_cast<double>(net_->stats().sent.value()));
-    machine.set("netMeanLatency", net_->stats().latency.mean());
+                static_cast<double>(netStats().sent.value()));
+    machine.set("netMeanLatency", netStats().latency.mean());
     const auto is = istructureTotals();
     machine.set("isFetches", static_cast<double>(is.fetches.value()));
     machine.set("isFetchesDeferred",
@@ -1353,45 +1264,15 @@ Machine::statGroups() const
     machine.set("isStores", static_cast<double>(is.stores.value()));
     groups.push_back(std::move(machine));
 
-    if (faults_ || rel_) {
-        sim::StatGroup f("faults");
-        if (faults_) {
-            const auto &fs = faults_->stats();
-            f.set("decisions", static_cast<double>(fs.decisions));
-            f.set("drops", static_cast<double>(fs.drops));
-            f.set("duplicates", static_cast<double>(fs.duplicates));
-            f.set("corrupts", static_cast<double>(fs.corrupts));
-            f.set("delays", static_cast<double>(fs.delays));
-            f.set("linkDownDrops",
-                  static_cast<double>(fs.linkDownDrops));
-            f.set("destroyed", static_cast<double>(fs.destroyed()));
-            std::uint64_t dupTok = 0, dupStore = 0;
-            for (const auto &pe : pes_) {
-                dupTok += pe->stats.dupTokensDropped.value();
-                dupStore += pe->stats.dupStoresSuppressed.value();
-            }
-            f.set("dupTokensDropped", static_cast<double>(dupTok));
-            f.set("dupStoresSuppressed",
-                  static_cast<double>(dupStore));
+    fabric_.faultStats(groups, [&](sim::StatGroup &f) {
+        std::uint64_t dupTok = 0, dupStore = 0;
+        for (const auto &pe : pes_) {
+            dupTok += pe->stats.dupTokensDropped.value();
+            dupStore += pe->stats.dupStoresSuppressed.value();
         }
-        if (rel_) {
-            const auto &rs = rel_->relStats();
-            f.set("retransmits",
-                  static_cast<double>(rs.retransmits.value()));
-            f.set("abandoned",
-                  static_cast<double>(rs.abandoned.value()));
-            f.set("rxDuplicates",
-                  static_cast<double>(rs.rxDuplicates.value()));
-            f.set("acksSent",
-                  static_cast<double>(rs.acksSent.value()));
-            f.set("staleAcks",
-                  static_cast<double>(rs.staleAcks.value()));
-            f.set("envelopesSent",
-                  static_cast<double>(
-                      rel_->innerStats().sent.value()));
-        }
-        groups.push_back(std::move(f));
-    }
+        f.set("dupTokensDropped", static_cast<double>(dupTok));
+        f.set("dupStoresSuppressed", static_cast<double>(dupStore));
+    });
 
     if (!requests_.empty()) {
         sim::StatGroup srv("serve");

@@ -55,34 +55,18 @@
 #include "graph/program.hh"
 #include "graph/token.hh"
 #include "mem/istructure.hh"
-#include "net/network.hh"
-#include "net/reliable.hh"
+#include "net/fabric.hh"
 #include "ttda/emulator.hh" // OutputRecord
 
 namespace ttda
 {
 
-/** Machine-level configuration. */
-struct MachineConfig
+/** Machine-level configuration; the fabric's fields (topology and
+ *  its latencies, seed, fault plan, ReliableNet) are inherited. */
+struct MachineConfig : net::FabricConfig
 {
     std::uint32_t numPEs = 4;
-
-    enum class Topology
-    {
-        Ideal,        //!< fixed latency + jitter, no contention
-        Crossbar,     //!< C.mmp-style n x n switch
-        Hypercube,    //!< emulation-facility cube (numPEs = 2^d)
-        Omega,        //!< multistage shuffle (numPEs = 2^k)
-        Hierarchical, //!< Cm*-style clusters
-    };
-    Topology topology = Topology::Ideal;
-
-    sim::Cycle netLatency = 2;  //!< Ideal: fixed transit latency
-    sim::Cycle netJitter = 0;   //!< Ideal: extra uniform random delay
-    std::uint32_t clusterSize = 4;   //!< Hierarchical
-    sim::Cycle localLatency = 2;     //!< Hierarchical cluster bus
-    sim::Cycle globalLatency = 8;    //!< Hierarchical intercluster bus
-    sim::Cycle hopLatency = 1;       //!< Hypercube per-link
+    sim::Cycle hopLatency = 1; //!< Hypercube per-link
 
     // PE stage service times (cycles per item).
     sim::Cycle matchCycles = 1;  //!< waiting-matching per token
@@ -129,22 +113,7 @@ struct MachineConfig
 
     bool localBypass = true; //!< same-PE tokens skip the network
 
-    std::uint64_t seed = 1;
     std::uint64_t maxCycles = 50'000'000;
-
-    /** Fault-injection plan (see sim::fault). An empty plan (the
-     *  default) leaves every fault hook compiled in but disabled: the
-     *  machine is bit-identical to one built before the subsystem
-     *  existed. FaultPlan::seed == 0 derives the injector seed from
-     *  `seed` above, so replaying a run needs only the machine seed. */
-    sim::fault::FaultPlan faults;
-
-    /** Wrap the token network in net::ReliableNet: sequence-numbered
-     *  envelopes, ACKs, timeout retransmission and receive-side
-     *  dedup. The fault injector then acts on the envelope fabric and
-     *  the machine survives loss (until retries are exhausted). */
-    bool reliableNet = false;
-    net::RetryConfig retry; //!< retransmission policy when reliableNet
 
     /** Retired: the machine always runs on the calling thread, and
      *  the constructor rejects any value but 0 or 1. The field stays
@@ -365,13 +334,13 @@ class Machine
      *  empty. */
     const sim::fault::FaultInjector *faultInjector() const
     {
-        return faults_.get();
+        return fabric_.faults();
     }
 
     /** The reliability wrapper, or null when reliableNet is off. */
     const net::ReliableNet<graph::Token> *reliableNet() const
     {
-        return rel_;
+        return fabric_.rel();
     }
 
     /** Aggregated I-structure statistics across all controllers. */
@@ -530,7 +499,6 @@ class Machine
         kTidOutput = 3, //!< output section
         kTidIstr = 4,   //!< I-structure controller
     };
-    void nameTraceTracks();
     std::vector<sim::StatGroup> statGroups() const;
 
     /** Register this machine's metrics series (ctor, when
@@ -696,9 +664,7 @@ class Machine
     MachineConfig cfg_;
     graph::ContextManager contexts_;
     graph::Executor exec_; //!< the firing engine (uses contexts_)
-    std::unique_ptr<sim::fault::FaultInjector> faults_;
-    std::unique_ptr<net::Network<graph::Token>> net_;
-    net::ReliableNet<graph::Token> *rel_ = nullptr; //!< net_ when wrapped
+    net::Fabric<graph::Token> fabric_;
     std::vector<std::unique_ptr<Pe>> pes_;
     std::vector<OutputRecord> outputs_;
     std::uint64_t allocPtr_ = 0;

@@ -25,15 +25,9 @@
 #include <ostream>
 #include <string>
 
-#include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/state.hh"
 #include "graph/snapcodec.hh"
-#include "net/crossbar.hh"
-#include "net/hierarchical.hh"
-#include "net/hypercube.hh"
-#include "net/ideal.hh"
-#include "net/omega.hh"
 
 namespace ttda
 {
@@ -44,34 +38,6 @@ namespace
 using sim::snapshot::Error;
 using sim::snapshot::Reader;
 using sim::snapshot::Writer;
-
-/** Visit the concrete topology behind `n`. The visitors are templates
- *  and Network<P> is virtual, so this one dispatch stays: the machine
- *  knows the concrete type from its configuration. */
-template <class V, class P>
-void
-visitTopology(V &v, net::Network<P> &n, MachineConfig::Topology t)
-{
-    using T = MachineConfig::Topology;
-    switch (t) {
-      case T::Ideal:
-        v(static_cast<net::IdealNetwork<P> &>(n));
-        return;
-      case T::Crossbar:
-        v(static_cast<net::Crossbar<P> &>(n));
-        return;
-      case T::Hypercube:
-        v(static_cast<net::Hypercube<P> &>(n));
-        return;
-      case T::Omega:
-        v(static_cast<net::OmegaNet<P> &>(n));
-        return;
-      case T::Hierarchical:
-        v(static_cast<net::HierarchicalNet<P> &>(n));
-        return;
-    }
-    sim::panic("unknown topology");
-}
 
 /** The configuration a snapshot is valid for: written ahead of the run
  *  state, and compared value by value on restore. */
@@ -103,15 +69,7 @@ Machine::visitState(V &v)
     v(now_, allocPtr_, deadlocked_, tokenSeq_, outputs_);
     for (auto &pe : pes_)
         v(*pe);
-    v(contexts_);
-    if (faults_)
-        v(*faults_);
-    if (rel_) {
-        v(*rel_);
-        visitTopology(v, rel_->inner(), cfg_.topology);
-    } else {
-        visitTopology(v, *net_, cfg_.topology);
-    }
+    v(contexts_, fabric_);
     v(wmResidency_, birthToFire_, readLatency_, reqLatency_, serving_,
       admitBlocked_, nextAdmit_, reqCompleted_, watermarkHits_,
       requests_);
@@ -156,7 +114,7 @@ void
 Machine::saveSnapshot(std::ostream &os) const
 {
     Writer w;
-    fingerprint(cfg_, program_, faults_ != nullptr,
+    fingerprint(cfg_, program_, fabric_.faults() != nullptr,
                 [&w](auto value, const char *) {
                     sim::state::save(w, value);
                 });
@@ -173,7 +131,7 @@ Machine::restoreSnapshot(std::istream &is)
     reset();
     Reader r(is);
     try {
-        fingerprint(cfg_, program_, faults_ != nullptr,
+        fingerprint(cfg_, program_, fabric_.faults() != nullptr,
                     [&r](auto want, const char *what) {
                         decltype(want) got{};
                         sim::state::load(r, got);

@@ -4,10 +4,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "net/crossbar.hh"
-#include "net/hierarchical.hh"
-#include "net/ideal.hh"
-#include "net/omega.hh"
 
 namespace vn
 {
@@ -57,52 +53,19 @@ awaitKey(std::uint32_t core, std::uint32_t ctx)
     return (static_cast<std::uint64_t>(core) << 32) | ctx;
 }
 
-/** Build the configured fabric carrying payload P — the plain message
- *  for a bare machine, net::Envelope<NetMsg> under ReliableNet. */
-template <typename P>
-std::unique_ptr<net::Network<P>>
-makeVnNetwork(const VnMachineConfig &cfg)
-{
-    using Topology = VnMachineConfig::Topology;
-    switch (cfg.topology) {
-      case Topology::Ideal:
-        return std::make_unique<net::IdealNetwork<P>>(
-            cfg.numCores, cfg.netLatency, cfg.netJitter, cfg.seed);
-      case Topology::Crossbar:
-        return std::make_unique<net::Crossbar<P>>(cfg.numCores,
-                                                  cfg.netLatency);
-      case Topology::Omega:
-        return std::make_unique<net::OmegaNet<P>>(cfg.numCores);
-      case Topology::Hierarchical:
-        return std::make_unique<net::HierarchicalNet<P>>(
-            cfg.numCores, cfg.clusterSize, cfg.localLatency,
-            cfg.globalLatency);
-    }
-    sim::panic("unknown topology");
-}
-
 } // namespace
 
-VnMachine::VnMachine(VnMachineConfig cfg) : cfg_(cfg)
+VnMachine::VnMachine(VnMachineConfig cfg)
+    : cfg_(cfg), fabric_(cfg_, cfg_.numCores)
 {
-    SIM_ASSERT_MSG(cfg_.numCores >= 1, "machine needs at least 1 core");
-    faults_ = sim::fault::makeInjector(cfg_.faults, cfg_.seed);
-    if (cfg_.reliableNet) {
-        auto rel = std::make_unique<net::ReliableNet<NetMsg>>(
-            makeVnNetwork<net::Envelope<NetMsg>>(cfg_), cfg_.retry);
-        rel_ = rel.get();
-        net_ = std::move(rel);
-    } else {
-        net_ = makeVnNetwork<NetMsg>(cfg_);
-    }
-    if (faults_)
-        net_->setFaultInjector(faults_.get());
+    SIM_ASSERT_MSG(cfg_.topology != net::Topology::Hypercube,
+                   "the vn machine has no hypercube fabric");
     for (std::uint32_t c = 0; c < cfg_.numCores; ++c) {
         cores_.push_back(std::make_unique<VnCore>(c, cfg_.core));
         modules_.push_back(std::make_unique<mem::MemoryModule>(
             cfg_.wordsPerModule, cfg_.memLatency, cfg_.banksPerModule));
-        if (faults_) {
-            modules_[c]->setFaultInjector(faults_.get(), c);
+        if (fabric_.faults()) {
+            modules_[c]->setFaultInjector(fabric_.faults(), c);
             modules_[c]->enableDedup();
         }
     }
@@ -116,10 +79,7 @@ VnMachine::VnMachine(VnMachineConfig cfg) : cfg_(cfg)
             cores_[c]->setTracer(&t);
             modules_[c]->setTracer(&t, c, 1);
         }
-        t.processName(cfg_.numCores, "network");
-        for (std::uint32_t c = 0; c < cfg_.numCores; ++c)
-            t.threadName(cfg_.numCores, c, sim::format("port{}", c));
-        net_->setTracer(&t, cfg_.numCores);
+        fabric_.trace(t);
     }
 
     metrics_ = cfg_.metrics;
@@ -145,7 +105,7 @@ VnMachine::initMetrics()
     }
     mIds_.netQueued = m.gauge("net.queued");
     mIds_.netInFlight = m.gauge("net.inFlight");
-    if (rel_)
+    if (fabric_.rel())
         mIds_.relPending = m.gauge("rel.pending");
 }
 
@@ -160,12 +120,11 @@ VnMachine::sampleMetrics()
         m.set(mIds_.coreInstrs[c],
               static_cast<double>(st.instructions.value()));
     }
-    const net::NetOccupancy occ = net_->occupancy();
+    const net::NetOccupancy occ = fabric_.net().occupancy();
     m.set(mIds_.netQueued, static_cast<double>(occ.queued));
     m.set(mIds_.netInFlight, static_cast<double>(occ.inFlight));
-    if (rel_)
-        m.set(mIds_.relPending,
-              static_cast<double>(rel_->pendingCount()));
+    if (const auto *rel = fabric_.rel())
+        m.set(mIds_.relPending, static_cast<double>(rel->pendingCount()));
     m.record(now_);
 }
 
@@ -227,12 +186,12 @@ VnMachine::issue(std::uint32_t core_id, MemAccess acc)
         req.cookie = packCookie(acc);
         modules_[module]->request(req);
     } else {
-        if (faults_) {
+        if (fabric_.faults()) {
             acc.seq = ++memSeq_;
             if (acc.kind != MemAccess::Kind::Store)
                 awaiting_[awaitKey(acc.core, acc.ctx)] = acc.seq;
         }
-        net_->send(core_id, module, NetMsg{false, acc});
+        fabric_.net().send(core_id, module, NetMsg{false, acc});
     }
 }
 
@@ -246,7 +205,7 @@ VnMachine::respond(std::uint32_t module, const mem::MemResponse &rsp)
     if (cfg_.colocated && acc.core == module) {
         cores_[acc.core]->complete(acc);
     } else {
-        net_->send(module, acc.core, NetMsg{true, acc});
+        fabric_.net().send(module, acc.core, NetMsg{true, acc});
     }
 }
 
@@ -278,9 +237,9 @@ VnMachine::step()
             issue(c, *acc);
     }
 
-    net_->step(now_);
+    fabric_.net().step(now_);
     for (std::uint32_t p = 0; p < cfg_.numCores; ++p) {
-        if (auto msg = net_->receive(p)) {
+        if (auto msg = fabric_.net().receive(p)) {
             if (msg->isResponse) {
                 deliverResponse(msg->access);
             } else {
@@ -321,7 +280,7 @@ VnMachine::skipAhead()
         if (!core->halted() && !core->stalledOnMemory())
             return;
 
-    sim::Cycle next = net_->nextDelivery();
+    sim::Cycle next = fabric_.net().nextDelivery();
     for (const auto &m : modules_)
         next = std::min(next, m->nextEvent());
     // neverCycle with stalled cores is a deadlock; fall back to
@@ -335,7 +294,7 @@ VnMachine::skipAhead()
             core->addStallCycles(delta);
     // Resynchronize internal clocks (no-op steps by construction: the
     // next*() contracts guarantee nothing retires before `next`).
-    net_->step(next - 1);
+    fabric_.net().step(next - 1);
     for (const auto &m : modules_)
         m->step(next - 1);
     now_ = next;
@@ -348,7 +307,7 @@ sim::Cycle
 VnMachine::run()
 {
     auto drained = [&] {
-        if (!net_->idle())
+        if (!fabric_.net().idle())
             return false;
         for (const auto &m : modules_)
             if (!m->idle())
@@ -369,7 +328,7 @@ VnMachine::run()
         return true;
     };
     while (!(allHalted() && drained())) {
-        if (faults_ && stranded()) {
+        if (fabric_.faults() && stranded()) {
             deadlocked_ = true;
             break;
         }
@@ -403,25 +362,7 @@ VnMachine::deadlockReport() const
     os << "vn deadlock report: " << blocked
        << " context(s) blocked on memory at cycle " << now_ << "\n";
 
-    if (faults_) {
-        const auto &fs = faults_->stats();
-        const std::uint64_t abandoned =
-            rel_ ? rel_->relStats().abandoned.value() : 0;
-        if (fs.destroyed() > 0 || abandoned > 0) {
-            os << "  classification: stranded by loss — "
-               << fs.destroyed()
-               << " packet(s) destroyed by fault injection";
-            if (rel_) {
-                os << ", " << abandoned
-                   << " send(s) abandoned after "
-                   << cfg_.retry.maxAttempts << " attempts";
-            }
-            os << "\n";
-        } else {
-            os << "  classification: true deadlock — no packets were "
-                  "lost\n";
-        }
-    }
+    fabric_.classifyLoss(os);
 
     std::size_t shown = 0;
     for (std::uint32_t c = 0; c < cfg_.numCores && shown <= kMaxPerSection;
@@ -444,15 +385,17 @@ VnMachine::deadlockReport() const
             os << "\n";
         }
     }
-    const auto &ns = rel_ ? rel_->innerStats() : net_->stats();
+    const auto *rel = fabric_.rel();
+    const auto *faults = fabric_.faults();
+    const auto &ns = rel ? rel->innerStats() : fabric_.net().stats();
     os << "  fabric traffic: " << ns.sent.value() << " sent, "
        << ns.delivered.value() << " delivered";
-    if (faults_)
-        os << ", " << faults_->stats().destroyed() << " destroyed, "
-           << faults_->stats().duplicates << " duplicated";
-    if (rel_)
-        os << "; " << rel_->relStats().retransmits.value()
-           << " retransmit(s), " << rel_->pendingCount()
+    if (faults)
+        os << ", " << faults->stats().destroyed() << " destroyed, "
+           << faults->stats().duplicates << " duplicated";
+    if (rel)
+        os << "; " << rel->relStats().retransmits.value()
+           << " retransmit(s), " << rel->pendingCount()
            << " send(s) still pending";
     os << "\n";
     return os.str();
@@ -461,7 +404,7 @@ VnMachine::deadlockReport() const
 const net::RelStats *
 VnMachine::relStats() const
 {
-    return rel_ ? &rel_->relStats() : nullptr;
+    return fabric_.rel() ? &fabric_.rel()->relStats() : nullptr;
 }
 
 double
@@ -477,60 +420,25 @@ std::vector<sim::StatGroup>
 VnMachine::statGroups() const
 {
     std::vector<sim::StatGroup> groups;
-    // Replay header: everything needed to reproduce this run.
-    sim::StatGroup meta("meta");
-    meta.set("seed", static_cast<double>(cfg_.seed));
-    if (faults_)
-        meta.set("faultSeed",
-                 static_cast<double>(faults_->plan().seed));
-    meta.set("reliable", rel_ ? 1.0 : 0.0);
-    groups.push_back(std::move(meta));
+    groups.push_back(fabric_.metaStats());
 
     sim::StatGroup machine("vnmachine");
     machine.set("cycles", static_cast<double>(now_));
     machine.set("meanUtilization", meanUtilization());
     machine.set("netPacketsSent",
-                static_cast<double>(net_->stats().sent.value()));
-    machine.set("netMeanLatency", net_->stats().latency.mean());
+                static_cast<double>(netStats().sent.value()));
+    machine.set("netMeanLatency", netStats().latency.mean());
     machine.set("deadlocked", deadlocked_ ? 1.0 : 0.0);
     groups.push_back(std::move(machine));
 
-    if (faults_ || rel_) {
-        sim::StatGroup f("faults");
-        if (faults_) {
-            const auto &fs = faults_->stats();
-            f.set("decisions", static_cast<double>(fs.decisions));
-            f.set("drops", static_cast<double>(fs.drops));
-            f.set("duplicates", static_cast<double>(fs.duplicates));
-            f.set("corrupts", static_cast<double>(fs.corrupts));
-            f.set("delays", static_cast<double>(fs.delays));
-            f.set("linkDownDrops",
-                  static_cast<double>(fs.linkDownDrops));
-            f.set("destroyed", static_cast<double>(fs.destroyed()));
-            std::uint64_t dups = 0;
-            for (const auto &m : modules_)
-                dups += m->stats().dupsSuppressed.value();
-            f.set("dupsSuppressed", static_cast<double>(dups));
-            f.set("staleResponses",
-                  static_cast<double>(staleResponses_.value()));
-        }
-        if (rel_) {
-            const auto &rs = rel_->relStats();
-            f.set("retransmits",
-                  static_cast<double>(rs.retransmits.value()));
-            f.set("abandoned",
-                  static_cast<double>(rs.abandoned.value()));
-            f.set("rxDuplicates",
-                  static_cast<double>(rs.rxDuplicates.value()));
-            f.set("acksSent",
-                  static_cast<double>(rs.acksSent.value()));
-            f.set("staleAcks",
-                  static_cast<double>(rs.staleAcks.value()));
-            f.set("envelopesSent",
-                  static_cast<double>(rel_->innerStats().sent.value()));
-        }
-        groups.push_back(std::move(f));
-    }
+    fabric_.faultStats(groups, [&](sim::StatGroup &f) {
+        std::uint64_t dups = 0;
+        for (const auto &m : modules_)
+            dups += m->stats().dupsSuppressed.value();
+        f.set("dupsSuppressed", static_cast<double>(dups));
+        f.set("staleResponses",
+              static_cast<double>(staleResponses_.value()));
+    });
     for (std::uint32_t c = 0; c < cfg_.numCores; ++c) {
         const auto &st = cores_[c]->stats();
         sim::StatGroup core(sim::format("core{}", c));
@@ -579,7 +487,7 @@ VnMachine::dumpStatsJson(std::ostream &os) const
 const net::NetStats &
 VnMachine::netStats() const
 {
-    return net_->stats();
+    return fabric_.net().stats();
 }
 
 const mem::MemoryModule::Stats &

@@ -34,26 +34,18 @@
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "mem/memory.hh"
-#include "net/network.hh"
-#include "net/reliable.hh"
+#include "net/fabric.hh"
 #include "vn/core.hh"
 
 namespace vn
 {
 
-/** Machine configuration. */
-struct VnMachineConfig
+/** Machine configuration; the fabric's fields (topology and its
+ *  latencies, seed, fault plan, ReliableNet) are inherited. Any
+ *  topology but Hypercube, which the constructor refuses. */
+struct VnMachineConfig : net::FabricConfig
 {
     std::uint32_t numCores = 4;
-
-    enum class Topology { Ideal, Crossbar, Omega, Hierarchical };
-    Topology topology = Topology::Ideal;
-
-    sim::Cycle netLatency = 2;      //!< Ideal/Crossbar latency
-    sim::Cycle netJitter = 0;       //!< Ideal only
-    std::uint32_t clusterSize = 4;  //!< Hierarchical
-    sim::Cycle localLatency = 2;    //!< Hierarchical cluster bus
-    sim::Cycle globalLatency = 8;   //!< Hierarchical intercluster bus
 
     VnCoreConfig core;              //!< per-core configuration
 
@@ -69,20 +61,7 @@ struct VnMachineConfig
     /** Local references bypass the network. */
     bool colocated = true;
 
-    std::uint64_t seed = 1;
     std::uint64_t maxCycles = 50'000'000;
-
-    /** Fault-injection plan (see sim::fault). Leave default for a
-     *  perfectly reliable machine; plan.seed == 0 derives the fault
-     *  stream from `seed`. */
-    sim::fault::FaultPlan faults;
-
-    /** Wrap the fabric in net::ReliableNet: sequence-numbered
-     *  request/response envelopes with timeout retransmission — the
-     *  recovery layer that lets the machine finish on a lossy
-     *  fabric. */
-    bool reliableNet = false;
-    net::RetryConfig retry; //!< reliableNet retransmission policy
 
     /** When set, core/memory/network lifecycle events are emitted as
      *  Chrome trace-event JSON: one process per core (tid 0 = cpu,
@@ -138,7 +117,7 @@ class VnMachine
     const sim::fault::FaultInjector *
     faultInjector() const
     {
-        return faults_.get();
+        return fabric_.faults();
     }
 
     /** Reliability-protocol counters (null unless cfg.reliableNet). */
@@ -193,11 +172,7 @@ class VnMachine
     VnMachineConfig cfg_;
     std::vector<std::unique_ptr<VnCore>> cores_;
     std::vector<std::unique_ptr<mem::MemoryModule>> modules_;
-    std::unique_ptr<sim::fault::FaultInjector> faults_;
-    std::unique_ptr<net::Network<NetMsg>> net_;
-    /** Set iff cfg.reliableNet: the decorator net_ owns, for protocol
-     *  counters and pending-send forensics. */
-    net::ReliableNet<NetMsg> *rel_ = nullptr;
+    net::Fabric<NetMsg> fabric_;
     sim::Cycle now_ = 0;
     bool deadlocked_ = false;
 

@@ -130,6 +130,15 @@ INSTANTIATE_TEST_SUITE_P(
                       vn::VnMachineConfig::Topology::Omega,
                       vn::VnMachineConfig::Topology::Hierarchical));
 
+TEST(VnMachine, RefusesTheHypercube)
+{
+    // The machines share one topology list; the cube is the TTDA's
+    // alone, so a vn machine on it is a configuration error.
+    auto cfg = baseConfig(4);
+    cfg.topology = vn::VnMachineConfig::Topology::Hypercube;
+    EXPECT_DEATH(vn::VnMachine{cfg}, "no hypercube fabric");
+}
+
 TEST(VnMachine, FetchAndAddThroughMemory)
 {
     auto cfg = baseConfig(4);
