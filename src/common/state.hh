@@ -35,6 +35,7 @@
  *                                  x.onReset() if any
  *   bool                           false               one byte, 0 or 1
  *   unsigned / int64 / double      zero                LE, own width
+ *   std::string                    emptied             byte count, bytes
  *   Counter/Accumulator/Histogram  reset()             value; moments;
  *                                                      moments + bins
  *   Rng                            rewind to its seed  four state words
@@ -75,6 +76,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -265,6 +267,8 @@ struct Save
     }
 
     void one(const Counter &c) { w.u64(c.value()); }
+
+    void one(const std::string &s) { w.str(s); }
 
     void
     one(const Accumulator &a)
@@ -470,6 +474,8 @@ struct Load
         c.reset();
         c.inc(r.u64());
     }
+
+    void one(std::string &s) { s = r.str(); }
 
     void
     one(Accumulator &a)

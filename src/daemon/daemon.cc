@@ -915,65 +915,19 @@ Daemon::closeAll()
 namespace
 {
 
+/** The daemon configuration a checkpoint is valid for: results are
+ *  only reproducible on a daemon with the same machines. Written ahead
+ *  of the job table, and compared value by value on restore. */
+template <class F>
 void
-saveSpec(sim::snapshot::Writer &w, const JobSpec &spec)
+fingerprint(const DaemonConfig &cfg, F &&f)
 {
-    w.u8(static_cast<std::uint8_t>(spec.tier));
-    w.str(spec.workload);
-    sim::state::save(w, spec.args);
-    w.u64(spec.requests);
-    w.u8(static_cast<std::uint8_t>(spec.arrival.kind));
-    w.f64(spec.arrival.meanGap);
-    w.u64(spec.arrival.seed);
-    w.u64(spec.arrival.start);
-    w.u32(spec.arrival.burstLen);
-    w.f64(spec.arrival.burstScale);
-    w.f64(spec.arrival.diurnalPeriod);
-    w.f64(spec.arrival.diurnalDepth);
-    w.u64(spec.faults.seed);
-    w.f64(spec.faults.dropRate);
-    w.f64(spec.faults.dupRate);
-    w.f64(spec.faults.corruptRate);
-    w.f64(spec.faults.delayRate);
-    w.u64(spec.faults.delaySpike);
-    w.u32(spec.vnLoads);
-    w.u32(spec.vnComputePerLoad);
-    w.u64(spec.vnStride);
-}
-
-JobSpec
-loadSpec(sim::snapshot::Reader &r)
-{
-    JobSpec spec;
-    const std::uint8_t tier = r.u8();
-    if (tier > static_cast<std::uint8_t>(Tier::Vn))
-        r.fail("unknown job tier");
-    spec.tier = static_cast<Tier>(tier);
-    spec.workload = r.str();
-    sim::state::load(r, spec.args);
-    spec.requests = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(
-                   workloads::ArrivalKind::Diurnal))
-        r.fail("unknown arrival kind");
-    spec.arrival.kind = static_cast<workloads::ArrivalKind>(kind);
-    spec.arrival.meanGap = r.f64();
-    spec.arrival.seed = r.u64();
-    spec.arrival.start = r.u64();
-    spec.arrival.burstLen = r.u32();
-    spec.arrival.burstScale = r.f64();
-    spec.arrival.diurnalPeriod = r.f64();
-    spec.arrival.diurnalDepth = r.f64();
-    spec.faults.seed = r.u64();
-    spec.faults.dropRate = r.f64();
-    spec.faults.dupRate = r.f64();
-    spec.faults.corruptRate = r.f64();
-    spec.faults.delayRate = r.f64();
-    spec.faults.delaySpike = r.u64();
-    spec.vnLoads = r.u32();
-    spec.vnComputePerLoad = r.u32();
-    spec.vnStride = r.u64();
-    return spec;
+    f(cfg.machine.numPEs, "numPEs");
+    f(cfg.machine.seed, "seed");
+    f(static_cast<std::uint8_t>(cfg.machine.topology), "topology");
+    f(cfg.machine.reliableNet, "reliableNet");
+    f(cfg.vnMachine.numCores, "vn numCores");
+    f(cfg.vnMachine.seed, "vn seed");
 }
 
 } // namespace
@@ -984,14 +938,9 @@ Daemon::saveCheckpoint(const std::string &path)
     sim::snapshot::Writer w;
     std::lock_guard<std::mutex> lk(mu_);
     w.u32(kCheckpointVersion);
-    // Fingerprint: results are only reproducible on a daemon with the
-    // same machine configuration.
-    w.u32(cfg_.machine.numPEs);
-    w.u64(cfg_.machine.seed);
-    w.u8(static_cast<std::uint8_t>(cfg_.machine.topology));
-    w.b(cfg_.machine.reliableNet);
-    w.u32(cfg_.vnMachine.numCores);
-    w.u64(cfg_.vnMachine.seed);
+    fingerprint(cfg_, [&w](auto value, const char *) {
+        sim::state::save(w, value);
+    });
 
     w.u64(nextId_);
     w.u64(admitted_);
@@ -1000,7 +949,7 @@ Daemon::saveCheckpoint(const std::string &path)
     w.u64(jobs_.size());
     for (const auto &[id, rec] : jobs_) {
         w.u64(id);
-        saveSpec(w, rec.spec);
+        sim::state::save(w, rec.spec);
         // Running jobs persist as Queued: their results are not in the
         // table yet, and re-running them is deterministic.
         const JobState state = rec.state == JobState::Running
@@ -1012,23 +961,10 @@ Daemon::saveCheckpoint(const std::string &path)
         if (state != JobState::Done)
             continue;
         if (const auto *vn =
-                std::get_if<serve::VnFleetJobResult>(&rec.result)) {
-            w.u64(vn->cycles);
-            w.u64(vn->submitted);
-            w.u64(vn->completed);
-            sim::state::save(w, vn->latency);
-            continue;
-        }
-        const auto &r = std::get<serve::FleetJobResult>(rec.result);
-        sim::state::save(w, r.outputs);
-        w.u64(r.cycles);
-        w.b(r.deadlocked);
-        w.u64(r.submitted);
-        w.u64(r.completed);
-        w.u64(r.watermarkHits);
-        sim::state::save(w, r.latency);
-        w.str(r.statsJson);
-        w.u32(r.worker);
+                std::get_if<serve::VnFleetJobResult>(&rec.result))
+            sim::state::save(w, *vn);
+        else
+            sim::state::save(w, std::get<serve::FleetJobResult>(rec.result));
     }
 
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -1051,18 +987,15 @@ Daemon::loadCheckpoint(const std::string &path)
 
     if (r.u32() != kCheckpointVersion)
         r.fail("unsupported daemon checkpoint version");
-    if (r.u32() != cfg_.machine.numPEs)
-        r.fail("checkpoint machine mismatch (numPEs)");
-    if (r.u64() != cfg_.machine.seed)
-        r.fail("checkpoint machine mismatch (seed)");
-    if (r.u8() != static_cast<std::uint8_t>(cfg_.machine.topology))
-        r.fail("checkpoint machine mismatch (topology)");
-    if (r.b() != cfg_.machine.reliableNet)
-        r.fail("checkpoint machine mismatch (reliableNet)");
-    if (r.u32() != cfg_.vnMachine.numCores)
-        r.fail("checkpoint machine mismatch (vn numCores)");
-    if (r.u64() != cfg_.vnMachine.seed)
-        r.fail("checkpoint machine mismatch (vn seed)");
+    fingerprint(cfg_, [&r](auto want, const char *what) {
+        decltype(want) got{};
+        sim::state::load(r, got);
+        if (got != want) {
+            const std::string msg =
+                std::string("checkpoint machine mismatch (") + what + ")";
+            r.fail(msg.c_str());
+        }
+    });
 
     std::map<std::uint64_t, JobRecord> jobs;
     std::deque<std::uint64_t> queue;
@@ -1076,7 +1009,7 @@ Daemon::loadCheckpoint(const std::string &path)
         rec.id = r.u64();
         if (rec.id >= nextId)
             r.fail("job id past the id counter");
-        rec.spec = loadSpec(r);
+        sim::state::load(r, rec.spec);
         if (const std::string err = specError(rec.spec); !err.empty())
             r.fail(("checkpoint job: " + err).c_str());
         const std::uint8_t state = r.u8();
@@ -1087,26 +1020,12 @@ Daemon::loadCheckpoint(const std::string &path)
         if (rec.state == JobState::Failed)
             rec.error = r.str();
         if (rec.state == JobState::Done) {
-            if (rec.spec.tier == Tier::Vn) {
-                serve::VnFleetJobResult vn;
-                vn.cycles = r.u64();
-                vn.submitted = r.u64();
-                vn.completed = r.u64();
-                sim::state::load(r, vn.latency);
-                rec.result = std::move(vn);
-            } else {
-                serve::FleetJobResult res;
-                sim::state::load(r, res.outputs);
-                res.cycles = r.u64();
-                res.deadlocked = r.b();
-                res.submitted = r.u64();
-                res.completed = r.u64();
-                res.watermarkHits = r.u64();
-                sim::state::load(r, res.latency);
-                res.statsJson = r.str();
-                res.worker = r.u32();
-                rec.result = std::move(res);
-            }
+            if (rec.spec.tier == Tier::Vn)
+                sim::state::load(
+                    r, rec.result.emplace<serve::VnFleetJobResult>());
+            else
+                sim::state::load(
+                    r, rec.result.emplace<serve::FleetJobResult>());
         }
         const std::uint64_t id = rec.id;
         if (!jobs.emplace(id, std::move(rec)).second)

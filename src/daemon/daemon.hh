@@ -57,6 +57,7 @@
 
 #include "common/fault.hh"
 #include "common/json.hh"
+#include "common/state.hh"
 #include "serve/fleet.hh"
 #include "ttda/machine.hh"
 #include "vn/machine.hh"
@@ -82,6 +83,24 @@ struct JobSpec
     std::uint32_t vnLoads = 4;
     std::uint32_t vnComputePerLoad = 8;
     std::uint64_t vnStride = 1;
+
+    /** The fields a checkpoint records: of the fault plan, its seed,
+     *  four rates and delay spike, never its scheduled events. */
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        using sim::state::bounded;
+        v(bounded(tier, Tier::Vn, "unknown job tier"), workload, args,
+          requests,
+          bounded(arrival.kind, workloads::ArrivalKind::Diurnal,
+                  "unknown arrival kind"),
+          arrival.meanGap, arrival.seed, arrival.start, arrival.burstLen,
+          arrival.burstScale, arrival.diurnalPeriod, arrival.diurnalDepth,
+          faults.seed, faults.dropRate, faults.dupRate, faults.corruptRate,
+          faults.delayRate, faults.delaySpike, vnLoads, vnComputePerLoad,
+          vnStride);
+    }
 };
 
 enum class JobState : std::uint8_t

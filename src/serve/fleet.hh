@@ -94,6 +94,15 @@ struct FleetJobResult
     /** Which worker served the job — host-order observability, never
      *  part of the deterministic result fields above. */
     unsigned worker = 0;
+
+    /** Every field, as a daemon checkpoint records it. */
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(outputs, cycles, deadlocked, submitted, completed, watermarkHits,
+          latency, statsJson, worker);
+    }
 };
 
 /** A job's fault plan as it runs: seed 0 becomes
@@ -177,6 +186,13 @@ struct VnFleetJobResult
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     sim::Histogram latency{16.0, 4096}; //!< VnServeDriver::latency
+
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v(cycles, submitted, completed, latency);
+    }
 };
 
 /** Serve one von Neumann job on a fresh machine built from `machine`

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -552,21 +553,83 @@ TEST(Daemon, WatchStreamsJobFrames)
     h.shutdownAndJoin(submitter);
 }
 
+/** A checkpoint or restore request for `path`. */
+Value
+snapshotOp(const char *op, const std::string &path)
+{
+    auto req = Value::obj();
+    req.set("op", Value::str(op));
+    req.set("path", Value::str(path));
+    return req;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
 TEST(Daemon, CheckpointRestoreReproducesResults)
 {
     const std::string snap = tempPath("daemon_roundtrip.snap");
+    const std::string done = tempPath("daemon_done.snap");
+    const std::string again = tempPath("daemon_done_again.snap");
 
-    // Reference: run four jobs to completion, remember their results.
+    // Four fib epochs, two vn-tier epochs, and a fib epoch with a
+    // bursty arrival process and every fault rate set.
+    std::vector<Value> specs;
+    for (std::uint64_t s = 1; s <= 4; ++s)
+        specs.push_back(fibSubmit(7, 4, s));
+    for (std::uint64_t s = 5; s <= 6; ++s) {
+        auto vn = Value::obj();
+        vn.set("op", Value::str("submit"));
+        vn.set("tier", Value::str("vn"));
+        vn.set("requests", Value::intNum(3));
+        vn.set("seed", Value::intNum(s));
+        vn.set("loads", Value::intNum(s - 3));
+        vn.set("stride", Value::intNum(2));
+        specs.push_back(std::move(vn));
+    }
+    Value bursty = fibSubmit(6, 6, 9);
+    auto arrival = Value::obj();
+    arrival.set("kind", Value::str("bursty"));
+    arrival.set("meanGap", Value::num(48.0));
+    arrival.set("burstLen", Value::intNum(3));
+    arrival.set("burstScale", Value::num(0.25));
+    bursty.set("arrival", std::move(arrival));
+    auto faults = Value::obj();
+    faults.set("seed", Value::intNum(1009));
+    faults.set("dropRate", Value::num(0.02));
+    faults.set("dupRate", Value::num(0.01));
+    faults.set("corruptRate", Value::num(0.005));
+    faults.set("delayRate", Value::num(0.02));
+    faults.set("delaySpike", Value::intNum(24));
+    bursty.set("faults", std::move(faults));
+    specs.push_back(std::move(bursty));
+    const auto key = [](const Value &resp) {
+        return resp.get("tier").asStr() == "vn" ? vnResultKey(resp)
+                                                : resultKey(resp);
+    };
+
+    // Reference: run every job to completion, remember its result,
+    // and checkpoint the finished table.
     std::vector<std::string> refKeys;
     {
         DaemonHarness h(testConfig());
         Client c(h.daemon().port());
         std::vector<std::uint64_t> ids;
-        for (std::uint64_t s = 1; s <= 4; ++s)
-            ids.push_back(
-                c.request(fibSubmit(7, 4, s)).get("id").asU64());
-        for (const std::uint64_t id : ids)
-            refKeys.push_back(resultKey(awaitDone(c, id)));
+        for (const Value &spec : specs)
+            ids.push_back(c.request(spec).get("id").asU64());
+        for (const std::uint64_t id : ids) {
+            const Value resp = awaitDone(c, id);
+            EXPECT_EQ(resp.get("state").asStr(), "done") << resp.dump();
+            refKeys.push_back(key(resp));
+        }
+        const Value saved = c.request(snapshotOp("checkpoint", done));
+        ASSERT_TRUE(saved.get("ok").asBool()) << saved.dump();
         h.shutdownAndJoin(c);
     }
 
@@ -576,14 +639,11 @@ TEST(Daemon, CheckpointRestoreReproducesResults)
     {
         DaemonHarness h(testConfig());
         Client c(h.daemon().port());
-        for (std::uint64_t s = 1; s <= 4; ++s)
-            c.request(fibSubmit(7, 4, s));
-        auto ckpt = Value::obj();
-        ckpt.set("op", Value::str("checkpoint"));
-        ckpt.set("path", Value::str(snap));
-        const Value saved = c.request(ckpt);
+        for (const Value &spec : specs)
+            c.request(spec);
+        const Value saved = c.request(snapshotOp("checkpoint", snap));
         ASSERT_TRUE(saved.get("ok").asBool()) << saved.dump();
-        EXPECT_EQ(saved.get("jobs").asU64(), 4u);
+        EXPECT_EQ(saved.get("jobs").asU64(), specs.size());
         h.stop(); // hard stop, like a crash after the checkpoint
     }
 
@@ -591,18 +651,33 @@ TEST(Daemon, CheckpointRestoreReproducesResults)
     {
         DaemonHarness h(testConfig());
         Client c(h.daemon().port());
-        auto rest = Value::obj();
-        rest.set("op", Value::str("restore"));
-        rest.set("path", Value::str(snap));
-        const Value loaded = c.request(rest);
+        const Value loaded = c.request(snapshotOp("restore", snap));
         ASSERT_TRUE(loaded.get("ok").asBool()) << loaded.dump();
-        EXPECT_EQ(loaded.get("jobs").asU64(), 4u);
-        for (std::uint64_t id = 1; id <= 4; ++id)
-            EXPECT_EQ(resultKey(awaitDone(c, id)), refKeys[id - 1])
+        EXPECT_EQ(loaded.get("jobs").asU64(), specs.size());
+        for (std::uint64_t id = 1; id <= specs.size(); ++id)
+            EXPECT_EQ(key(awaitDone(c, id)), refKeys[id - 1])
                 << "job " << id;
         h.shutdownAndJoin(c);
     }
+
+    // A finished table restores verbatim: checkpointing it again
+    // writes the same bytes.
+    {
+        DaemonHarness h(testConfig());
+        Client c(h.daemon().port());
+        const Value loaded = c.request(snapshotOp("restore", done));
+        ASSERT_TRUE(loaded.get("ok").asBool()) << loaded.dump();
+        EXPECT_EQ(loaded.get("pending").asU64(), 0u) << loaded.dump();
+        const Value saved = c.request(snapshotOp("checkpoint", again));
+        ASSERT_TRUE(saved.get("ok").asBool()) << saved.dump();
+        h.shutdownAndJoin(c);
+    }
+    const std::string doneBytes = fileBytes(done);
+    EXPECT_FALSE(doneBytes.empty());
+    EXPECT_TRUE(doneBytes == fileBytes(again));
     std::remove(snap.c_str());
+    std::remove(done.c_str());
+    std::remove(again.c_str());
 }
 
 TEST(Daemon, RestoreRejectsGarbageAndMismatch)
