@@ -116,40 +116,62 @@ constexpr std::int64_t kFibN = 9;    //!< service program argument
 constexpr std::size_t kRequests = 256;
 constexpr std::uint64_t kSchedSeed = 42;
 
-/** Submit the whole schedule and serve it; fills the common fields. */
+/**
+ * Serve the whole schedule once per rep of `timer`, each time on the
+ * machine `ready()` returns freshly built or reset, and time serve()
+ * alone. Every rep is checked (and, given `mustMatch`, compared with
+ * that row); the row holds the last rep, and with --metrics its one
+ * epoch's series is written.
+ */
+template <typename Ready>
 Row
-serveTtda(ttda::Machine &m, std::uint16_t cb,
+serveTtda(const bench::RepTimer &timer, bench::SimOptions &opts,
+          Ready &&ready, std::uint16_t cb,
           const std::vector<sim::Cycle> &arrivals, std::string name,
-          double rho, double mean_gap,
-          bench::SimOptions *opts = nullptr)
+          double rho, double mean_gap, const Row *mustMatch = nullptr)
 {
-    for (const sim::Cycle at : arrivals)
-        m.submit(cb, {graph::Value{kFibN}}, at);
     Row row;
-    row.hostMs = bench::timeMs([&] { m.serve(); });
     row.name = std::move(name);
     row.tier = "ttda";
     row.rho = rho;
-    row.requests = m.requestsSubmitted();
-    row.completed = m.requestsCompleted();
-    row.simCycles = m.cycles();
     row.offeredPerKcycle = 1000.0 / mean_gap;
-    row.completedPerKcycle =
-        row.simCycles
-            ? 1000.0 * static_cast<double>(row.completed) /
-                  static_cast<double>(row.simCycles)
-            : 0.0;
-    row.watermarkHits = m.watermarkHits();
-    fillLatency(row, m.requestLatency());
-    if (m.deadlocked())
-        sim::fatal("serve deadlocked in {}", row.name);
-    if (row.completed != row.requests)
-        sim::fatal("{}: {} of {} requests completed", row.name,
-                   row.completed, row.requests);
+    row.hostMs = timer.bestOf([&] {
+        // One epoch's series per row: the recorder is emptied before
+        // the machine is built, as new series may not join mid-run.
+        if (sim::MetricsRecorder *rec = opts.metrics())
+            rec->reset();
+        ttda::Machine &m = ready();
+        for (const sim::Cycle at : arrivals)
+            m.submit(cb, {graph::Value{kFibN}}, at);
+        const double ms = bench::timeMs([&] { m.serve(); });
+        row.requests = m.requestsSubmitted();
+        row.completed = m.requestsCompleted();
+        row.simCycles = m.cycles();
+        row.completedPerKcycle =
+            row.simCycles
+                ? 1000.0 * static_cast<double>(row.completed) /
+                      static_cast<double>(row.simCycles)
+                : 0.0;
+        row.watermarkHits = m.watermarkHits();
+        fillLatency(row, m.requestLatency());
+        if (m.deadlocked())
+            sim::fatal("serve deadlocked in {}", row.name);
+        if (row.completed != row.requests)
+            sim::fatal("{}: {} of {} requests completed", row.name,
+                       row.completed, row.requests);
+        if (mustMatch && (row.simCycles != mustMatch->simCycles ||
+                          row.p99 != mustMatch->p99 ||
+                          row.p999 != mustMatch->p999 ||
+                          row.mean != mustMatch->mean))
+            sim::fatal("{}: serving run diverged from the reference "
+                       "(cycles {} vs {}, p99 {} vs {})",
+                       row.name, row.simCycles, mustMatch->simCycles,
+                       row.p99, mustMatch->p99);
+        return ms;
+    });
     // --metrics: the serving gauges (srv.inFlight, srv.admitQueue,
     // srv.watermarkHits) ride the machine's ordinary time series.
-    if (opts)
-        opts->writeMetrics(row.name);
+    opts.writeMetrics(row.name);
     return row;
 }
 
@@ -216,46 +238,49 @@ main(int argc, char **argv)
     Row ref; // ttda_poisson_rho0.8
     {
         ttda::Machine m(prog, serveCfg);
-        for (const double rho : {0.2, 0.5, 0.8, 1.0, 1.2}) {
+        const auto reset = [&m]() -> ttda::Machine & {
             m.reset();
+            return m;
+        };
+        for (const double rho : {0.2, 0.5, 0.8, 1.0, 1.2}) {
             const Row row = serveTtda(
-                m, cb, scheduleFor(workloads::ArrivalKind::Poisson, rho),
+                timer, opts, reset, cb,
+                scheduleFor(workloads::ArrivalKind::Poisson, rho),
                 sim::format("ttda_poisson_rho{}", rho), rho,
-                svcGap / rho, &opts);
+                svcGap / rho);
             if (rho == 0.8)
                 ref = row;
             rows.push_back(benchRow(row).lower("hostMs"));
         }
         for (const auto kind : {workloads::ArrivalKind::Bursty,
                                 workloads::ArrivalKind::Diurnal}) {
-            m.reset();
             const Row row = serveTtda(
-                m, cb, scheduleFor(kind, 0.8),
+                timer, opts, reset, cb, scheduleFor(kind, 0.8),
                 sim::format("ttda_{}_rho0.8",
                             workloads::arrivalKindName(kind)),
-                0.8, svcGap / 0.8, &opts);
+                0.8, svcGap / 0.8);
             rows.push_back(benchRow(row).lower("hostMs"));
         }
     }
 
+    // Rows whose every rep runs on a freshly built machine.
+    std::optional<ttda::Machine> fresh;
+    const auto freshOn = [&](const ttda::MachineConfig &cfg) {
+        return [&fresh, &prog, cfg]() -> ttda::Machine & {
+            return fresh.emplace(prog, cfg);
+        };
+    };
+
     // ---- determinism: a fresh machine ------------------------------
     // Must reproduce the sweep's rho-0.8 row exactly: that row ran on
-    // a machine that had been reset() five times, this one is fresh.
-    // The "_t1" suffix keeps the name the committed BENCH_serve.json
-    // row carries.
-    {
-        ttda::Machine m(prog, serveCfg);
-        Row row = serveTtda(
-            m, cb, scheduleFor(workloads::ArrivalKind::Poisson, 0.8),
-            "ttda_det_t1", 0.8, svcGap / 0.8, &opts);
-        if (row.simCycles != ref.simCycles || row.p99 != ref.p99 ||
-            row.p999 != ref.p999 || row.mean != ref.mean)
-            sim::fatal("{}: serving run diverged from the reference "
-                       "(cycles {} vs {}, p99 {} vs {})",
-                       row.name, row.simCycles, ref.simCycles, row.p99,
-                       ref.p99);
-        rows.push_back(benchRow(row).lower("hostMs"));
-    }
+    // a reset() machine, this one is fresh. The "_t1" suffix keeps
+    // the name the committed BENCH_serve.json row carries.
+    rows.push_back(
+        benchRow(serveTtda(timer, opts, freshOn(serveCfg), cb,
+                           scheduleFor(workloads::ArrivalKind::Poisson,
+                                       0.8),
+                           "ttda_det_t1", 0.8, svcGap / 0.8, &ref))
+            .lower("hostMs"));
 
     // ---- reset() vs reconstruct epoch cost -------------------------
     // Small epochs so per-epoch setup is a visible fraction: the
@@ -310,11 +335,11 @@ main(int argc, char **argv)
         spike.a = 20000; // 2% drop inside the window
         cfg.faults.seed = 9;
         cfg.faults.events.push_back(spike);
-        ttda::Machine m(prog, cfg);
         // A degradation measurement, not a throughput baseline.
-        rows.push_back(benchRow(serveTtda(m, cb, arrivals,
+        rows.push_back(benchRow(serveTtda(timer, opts, freshOn(cfg), cb,
+                                          arrivals,
                                           "ttda_brownout_rho0.8", 0.8,
-                                          svcGap / 0.8, &opts))
+                                          svcGap / 0.8))
                            .set("faulted", true)
                            .info());
     }
@@ -363,25 +388,32 @@ main(int argc, char **argv)
         ac.seed = kSchedSeed;
         const auto arrivals =
             workloads::arrivalSchedule(ac, kRequests);
-        vn::VnMachine m(vnCfg);
-        workloads::VnServeDriver drv(m, vnRequests(arrivals));
-        drv.attach();
         Row row;
-        row.hostMs = bench::timeMs([&] { m.run(); });
         row.name = sim::format("vn_poisson_rho{}", rho);
         row.tier = "vn";
         row.rho = rho;
-        row.requests = drv.submitted();
-        row.completed = drv.completed();
-        row.simCycles = m.cycles();
         row.offeredPerKcycle = 1000.0 * rho / vnSvcGap;
-        row.completedPerKcycle =
-            1000.0 * static_cast<double>(row.completed) /
-            static_cast<double>(row.simCycles);
-        fillLatency(row, drv.latency());
-        if (row.completed != row.requests)
-            sim::fatal("{}: {} of {} requests completed", row.name,
-                       row.completed, row.requests);
+        // As serveTtda: a fresh machine per rep, run() alone timed,
+        // every rep checked, one epoch's series written.
+        row.hostMs = timer.bestOf([&] {
+            if (sim::MetricsRecorder *rec = opts.metrics())
+                rec->reset();
+            vn::VnMachine m(vnCfg);
+            workloads::VnServeDriver drv(m, vnRequests(arrivals));
+            drv.attach();
+            const double ms = bench::timeMs([&] { m.run(); });
+            row.requests = drv.submitted();
+            row.completed = drv.completed();
+            row.simCycles = m.cycles();
+            row.completedPerKcycle =
+                1000.0 * static_cast<double>(row.completed) /
+                static_cast<double>(row.simCycles);
+            fillLatency(row, drv.latency());
+            if (row.completed != row.requests)
+                sim::fatal("{}: {} of {} requests completed", row.name,
+                           row.completed, row.requests);
+            return ms;
+        });
         opts.writeMetrics(row.name);
         rows.push_back(benchRow(row).lower("hostMs"));
     }
@@ -546,10 +578,9 @@ main(int argc, char **argv)
 
     return bench::writeBench(
                out, "bench_serve",
-               "latencies in cycles; hostMs: wall time of one serve(), "
-               "fleet rows: of the whole job set, " +
-                   timer.describe() +
-                   "; freshMs and reuseMs: wall time of one epoch, " +
+               "latencies in cycles; hostMs: wall time of one serve() "
+               "or run(), fleet rows: of the whole job set; freshMs "
+               "and reuseMs: of one epoch; every time the " +
                    timer.describe(),
                rows)
                ? 0

@@ -435,11 +435,21 @@ class RepTimer
     double
     bestMs(F &&body) const
     {
+        return bestOf([&body] { return timeMs(body); });
+    }
+
+    /** The best of the milliseconds `rep` returns, for a rep that
+     *  prepares and checks its run untimed and times only the span
+     *  it measures. */
+    template <typename F>
+    double
+    bestOf(F &&rep) const
+    {
         for (std::uint32_t r = 0; r < warmup_; ++r)
-            body();
+            rep();
         double best = 0.0;
         for (std::uint32_t r = 0; r < reps_; ++r) {
-            const double ms = timeMs(body);
+            const double ms = rep();
             if (r == 0 || ms < best)
                 best = ms;
         }
