@@ -67,9 +67,9 @@ TEST(VnMachine, RemoteLoadCrossesNetwork)
     EXPECT_GE(m.netStats().sent.value(), 2u); // request + response
 }
 
-/** The vn machine's four topologies, valued as the machine's own enum
- *  valued them before both machines shared net::Topology: the sweep's
- *  case names print the parameter's bytes, so these values keep them. */
+/** The vn machine's four topologies. The sweep's case names print the
+ *  parameter's bytes, so these values, not net::Topology's, fix the
+ *  names. */
 enum class VnFabric { Ideal, Crossbar, Omega, Hierarchical };
 
 class VnTopologySweep : public ::testing::TestWithParam<VnFabric>
