@@ -53,7 +53,8 @@ enum class Topology
 };
 
 /** What a machine configures of its fabric. Both machine configs
- *  derive from it; the port count is the machine's own. */
+ *  derive from it; the port count, and the TTDA's Hypercube hop
+ *  latency, are the machine's own. */
 struct FabricConfig
 {
     using Topology = net::Topology;
