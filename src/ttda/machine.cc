@@ -1,7 +1,9 @@
 #include "ttda/machine.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "common/format.hh"
 #include "common/logging.hh"
@@ -1131,32 +1133,44 @@ Machine::deadlockReport() const
         }
     }
 
-    // 2. Waiting-matching entries still holding partial operand sets.
+    // 2. Waiting-matching entries still holding partial operand sets,
+    // smallest tags first, so the report does not depend on the
+    // store's slot layout.
     for (std::uint32_t p = 0; p < cfg_.numPEs; ++p) {
         const auto &ws = pes_[p]->waitStore;
         if (ws.empty())
             continue;
         os << "  PE " << p << ": " << ws.size()
            << " activities still waiting for partner tokens:\n";
-        std::size_t shown = 0;
+        std::vector<std::pair<const graph::Tag *, const Waiting *>> held;
         ws.forEach([&](const graph::Tag &tag, const Waiting &w) {
+            held.emplace_back(&tag, &w);
+        });
+        const auto order = [](const graph::Tag &t) {
+            return std::tie(t.ctx, t.codeBlock, t.stmt, t.iter);
+        };
+        std::sort(held.begin(), held.end(),
+                  [&](const auto &a, const auto &b) {
+                      return order(*a.first) < order(*b.first);
+                  });
+        std::size_t shown = 0;
+        for (const auto &[tag, w] : held) {
             if (++shown > kMaxPerSection) {
-                if (shown == kMaxPerSection + 1)
-                    os << "    ... " << ws.size() - kMaxPerSection
-                       << " more\n";
-                return;
+                os << "    ... " << ws.size() - kMaxPerSection
+                   << " more\n";
+                break;
             }
-            os << "    " << tag << ": "
-               << static_cast<unsigned>(w.arrived) << "/"
-               << static_cast<unsigned>(w.expected)
-               << " ports filled (mask 0x" << std::hex << w.filled
+            os << "    " << *tag << ": "
+               << static_cast<unsigned>(w->arrived) << "/"
+               << static_cast<unsigned>(w->expected)
+               << " ports filled (mask 0x" << std::hex << w->filled
                << std::dec << "), missing port(s)";
-            for (std::uint8_t port = 0; port < w.expected; ++port) {
-                if (!(w.filled >> port & 1u))
+            for (std::uint8_t port = 0; port < w->expected; ++port) {
+                if (!(w->filled >> port & 1u))
                     os << " " << static_cast<unsigned>(port);
             }
             os << "\n";
-        });
+        }
     }
 
     // 3. Packets the network accepted but never delivered (should be

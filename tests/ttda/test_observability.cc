@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/trace.hh"
@@ -230,6 +233,59 @@ TEST(Observability, DeadlockReportNamesStrandedActivity)
     EXPECT_NE(report.find("stranded"), std::string::npos);
     EXPECT_NE(report.find("ports filled"), std::string::npos);
     EXPECT_NE(report.find("missing port"), std::string::npos);
+}
+
+TEST(Observability, DeadlockReportListsSmallestStrandedTagsInOrder)
+{
+    // Every iteration reads a cell nobody writes, so its `a[j] + j`
+    // holds one operand forever, and so does the next iteration's
+    // SWITCH that waits for the t that add would have made: 80
+    // activities strand on the only PE, over the report's cap of 16
+    // per section. Whatever order the waiting-matching store holds
+    // them in, the report must name the 16 smallest tags, ascending,
+    // then count the rest.
+    const id::Compiled compiled = id::compile(R"(
+def main(n) =
+  let a = array(n) in
+  (initial s <- 0; t <- 0 for j from 0 to n - 1 do
+     new s <- s + 1;
+     new t <- a[j] + j
+   return s);
+)");
+    ttda::MachineConfig cfg;
+    cfg.numPEs = 1;
+    ttda::Machine m(compiled.program, cfg);
+    m.input(compiled.startCb, 0, graph::Value{std::int64_t{40}});
+    m.run();
+    ASSERT_TRUE(m.deadlocked());
+
+    const std::string report = m.deadlockReport();
+    const std::string header =
+        "  PE 0: 80 activities still waiting for partner tokens:\n";
+    const auto at = report.find(header);
+    ASSERT_NE(at, std::string::npos) << report;
+    std::istringstream section(report.substr(at + header.size()));
+    using Key = std::tuple<unsigned, unsigned, unsigned, unsigned>;
+    std::vector<Key> tags;
+    std::string line;
+    while (std::getline(section, line) && line.rfind("    <u", 0) == 0) {
+        unsigned u = 0, c = 0, s = 0, i = 0;
+        ASSERT_EQ(std::sscanf(line.c_str(), "    <u%u,c%u,s%u,i%u>", &u,
+                              &c, &s, &i),
+                  4)
+            << line;
+        tags.emplace_back(u, c, s, i);
+    }
+    EXPECT_EQ(line, "    ... 64 more") << report;
+    ASSERT_EQ(tags.size(), 16u) << report;
+    // Both stranded instructions hold one entry per iteration, so the
+    // 16 smallest tags are the lower statement's first 16 iterations.
+    const auto [u0, c0, s0, i0] = tags.front();
+    EXPECT_LE(i0, 2u) << report;
+    for (std::size_t k = 0; k < tags.size(); ++k)
+        EXPECT_EQ(tags[k],
+                  Key(u0, c0, s0, i0 + static_cast<unsigned>(k)))
+            << report;
 }
 
 } // namespace
