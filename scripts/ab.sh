@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # A/B against a parent revision, first half: byte identity.
 #
-# Builds <rev> from a detached git worktree (build-ab-src/) into
+# Extracts <rev> with git archive into build-ab-src/ (removed on exit;
+# the repository's git state is never touched) and builds it into
 # build-ab/, and the working tree into build-bench/ as bench_guard.sh
 # does, both RelWithDebInfo. Runs every deterministic output on both
 # builds and cmp's them pairwise:
@@ -42,13 +43,13 @@ FAULTS=(--fault-plan=drop=0.02,dup=0.01,delay=0.02,spike=40 --reliable)
 git rev-parse --verify --quiet "$REV^{commit}" > /dev/null ||
     { echo "ab: unknown revision '$REV'" >&2; exit 2; }
 
-cleanup() {
-    git worktree remove --force "$TREE" > /dev/null 2>&1 || true
-    git worktree prune
-}
+cleanup() { rm -rf "$TREE"; }
 cleanup
 trap cleanup EXIT
-git worktree add --detach "$TREE" "$REV" > /dev/null
+mkdir "$TREE"
+# -m stamps the files with the extraction time, so a build-ab/ left by
+# another <rev> rebuilds what changed.
+git archive "$REV" | tar -x -m -C "$TREE"
 
 build() { # <source-dir> <build-dir>
     cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
