@@ -16,13 +16,11 @@
  * insert/erase cycling (the WM store's steady state) and never needs
  * a cleanup rehash.
  *
- * Growth is incremental. When the load factor crosses 3/4 the table
- * allocates a double-size successor and migrates a bounded number of
- * probe clusters per subsequent operation, so no single operation —
- * and therefore no single simulated cycle — absorbs a full-table
- * rehash. Lookups consult the successor first, then the draining
- * predecessor; clusters move atomically, preserving the
- * probe-path-intact invariant both tables rely on.
+ * Growth is one pass: the insert that would take the table past 3/4
+ * load doubles it and re-places every entry. The simulator times
+ * whole runs, never single operations, and the WM store grows rarely
+ * (a few times per PE per run), so spreading the rehash over later
+ * operations would only tax every probe.
  */
 
 #ifndef TTDA_COMMON_FLATMAP_HH
@@ -33,19 +31,16 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.hh"
-
 namespace sim
 {
 
 /**
  * Open-addressing hash map: power-of-two capacity, linear probing,
- * backward-shift deletion, incremental (amortized) rehash.
+ * backward-shift deletion, doubling at 3/4 load.
  *
  * Requirements: Key and Value default-constructible and movable; Key
  * equality-comparable; Hash stateless. Pointers returned by insert()
- * and find() stay valid until the next non-const operation on the
- * map (any operation may advance an in-progress migration).
+ * and find() stay valid until the next insert, erase or clear.
  */
 template <typename Key, typename Value, typename Hash>
 class FlatHashMap
@@ -57,21 +52,16 @@ class FlatHashMap
         std::size_t cap = kMinCapacity;
         while (cap < initial_capacity)
             cap <<= 1;
-        cur_.init(cap);
+        slots_.resize(cap);
+        used_.resize(cap);
+        mask_ = cap - 1;
     }
 
-    std::size_t size() const { return cur_.count + old_.count; }
-    bool empty() const { return size() == 0; }
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
 
-    /** Slots allocated across the live table(s) (diagnostics). */
-    std::size_t
-    capacity() const
-    {
-        return cur_.slots.size() + old_.slots.size();
-    }
-
-    /** True while an incremental rehash is draining the old table. */
-    bool rehashing() const { return old_.live(); }
+    /** Slots allocated (diagnostics). */
+    std::size_t capacity() const { return slots_.size(); }
 
     /**
      * Find `key`, default-constructing its value if absent —
@@ -81,82 +71,93 @@ class FlatHashMap
     std::pair<Value *, bool>
     insert(const Key &key)
     {
-        migrateStep();
-        maybeGrow();
         const std::size_t h = Hash{}(key);
-        if (Value *v = probe(cur_, key, h))
-            return {v, false};
-        if (old_.live()) {
-            if (Value *v = probe(old_, key, h))
-                return {v, false};
+        std::size_t i = slotFor(key, h);
+        if (used_[i])
+            return {&slots_[i].val, false};
+        if ((count_ + 1) * 4 > slots_.size() * 3) {
+            grow();
+            i = slotFor(key, h);
         }
-        return {place(cur_, key, h), true};
+        used_[i] = 1;
+        slots_[i].key = key;
+        ++count_;
+        return {&slots_[i].val, true};
     }
 
     /** Pointer to the value mapped to `key`, or nullptr. */
+    const Value *
+    find(const Key &key) const
+    {
+        const std::size_t i = slotFor(key, Hash{}(key));
+        return used_[i] ? &slots_[i].val : nullptr;
+    }
+
     Value *
     find(const Key &key)
     {
-        migrateStep();
-        const std::size_t h = Hash{}(key);
-        if (Value *v = probe(cur_, key, h))
-            return v;
-        if (old_.live())
-            return probe(old_, key, h);
-        return nullptr;
+        return const_cast<Value *>(std::as_const(*this).find(key));
     }
 
-    /** Erase `key`; returns whether it was present. */
+    /**
+     * Erase `key`; returns whether it was present. Backward-shift
+     * deletion: close the hole by shifting back every later cluster
+     * member whose probe path crosses it, then clear the final vacated
+     * slot. Leaves all probe paths intact with no tombstones.
+     */
     bool
     erase(const Key &key)
     {
-        migrateStep();
-        const std::size_t h = Hash{}(key);
-        if (eraseIn(cur_, key, h))
-            return true;
-        if (old_.live() && eraseIn(old_, key, h)) {
-            if (old_.count == 0)
-                old_.release();
-            return true;
+        std::size_t i = slotFor(key, Hash{}(key));
+        if (!used_[i])
+            return false;
+        for (std::size_t j = (i + 1) & mask_; used_[j];
+             j = (j + 1) & mask_) {
+            const std::size_t home = Hash{}(slots_[j].key) & mask_;
+            // Entry j may fill the hole iff the hole lies on its
+            // probe path, i.e. home .. i .. j in cyclic probe order.
+            if (((j - home) & mask_) >= ((j - i) & mask_)) {
+                slots_[i] = std::move(slots_[j]);
+                i = j;
+            }
         }
-        return false;
+        slots_[i] = Slot{};
+        used_[i] = 0;
+        --count_;
+        return true;
     }
 
-    /** Visit every entry as f(const Key &, Value &). Order is
-     *  unspecified (storage order, successor table first). */
+    /** Visit every entry as f(const Key &, Value &), in storage
+     *  order. */
     template <typename F>
     void
     forEach(F &&f)
     {
-        visit(cur_, f);
-        visit(old_, f);
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            if (used_[i])
+                f(slots_[i].key, slots_[i].val);
     }
 
     template <typename F>
     void
     forEach(F &&f) const
     {
-        visit(cur_, f);
-        visit(old_, f);
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            if (used_[i])
+                f(slots_[i].key, slots_[i].val);
     }
 
+    /** Remove every entry; the capacity stays. */
     void
     clear()
     {
-        old_.release();
-        const std::size_t cap = cur_.slots.size();
-        cur_.release();
-        cur_.init(cap);
+        slots_.assign(slots_.size(), Slot{});
+        used_.assign(used_.size(), 0);
+        count_ = 0;
     }
 
   private:
     static constexpr std::size_t kMinCapacity = 8;
-    /** Entries migrated per operation while a rehash is draining.
-     *  With growth triggered at 3/4 load into a 2x table, draining
-     *  >= 2 entries per insert retires the old table well before the
-     *  new one can reach its own threshold; 8 keeps the drain short
-     *  without making any single operation expensive. */
-    static constexpr std::size_t kMigrateChunk = 8;
 
     struct Slot
     {
@@ -164,208 +165,42 @@ class FlatHashMap
         Value val{};
     };
 
-    struct Table
+    /** The slot holding `key`, or the free slot that ends its probe
+     *  path (one exists: the load stays at most 3/4). */
+    std::size_t
+    slotFor(const Key &key, std::size_t h) const
     {
-        std::vector<Slot> slots;
-        std::vector<std::uint8_t> used;
-        std::size_t mask = 0;
-        std::size_t count = 0;
-
-        bool live() const { return !slots.empty(); }
-
-        void
-        init(std::size_t cap)
-        {
-            slots.assign(cap, Slot{});
-            used.assign(cap, 0);
-            mask = cap - 1;
-            count = 0;
-        }
-
-        void
-        release()
-        {
-            slots.clear();
-            slots.shrink_to_fit();
-            used.clear();
-            used.shrink_to_fit();
-            mask = 0;
-            count = 0;
-        }
-    };
-
-    /** Linear probe for `key` in `t`; nullptr when absent. Probe
-     *  paths are empty-terminated: both tables keep every entry's
-     *  home-to-slot run fully occupied (backward-shift deletion,
-     *  cluster-atomic migration). */
-    static Value *
-    probe(Table &t, const Key &key, std::size_t h)
-    {
-        if (!t.live())
-            return nullptr;
-        std::size_t i = h & t.mask;
-        while (t.used[i]) {
-            if (t.slots[i].key == key)
-                return &t.slots[i].val;
-            i = (i + 1) & t.mask;
-        }
-        return nullptr;
+        std::size_t i = h & mask_;
+        while (used_[i] && !(slots_[i].key == key))
+            i = (i + 1) & mask_;
+        return i;
     }
 
-    static const Value *
-    probe(const Table &t, const Key &key, std::size_t h)
-    {
-        return probe(const_cast<Table &>(t), key, h);
-    }
-
-    /** Insert a key known to be absent; returns its value slot. */
-    static Value *
-    place(Table &t, const Key &key, std::size_t h)
-    {
-        SIM_ASSERT_MSG(t.count < t.slots.size(),
-                       "FlatHashMap table overfull (migration fell "
-                       "behind?)");
-        std::size_t i = h & t.mask;
-        while (t.used[i])
-            i = (i + 1) & t.mask;
-        t.used[i] = 1;
-        t.slots[i].key = key;
-        ++t.count;
-        return &t.slots[i].val;
-    }
-
-    bool
-    eraseIn(Table &t, const Key &key, std::size_t h)
-    {
-        if (!t.live())
-            return false;
-        std::size_t i = h & t.mask;
-        while (t.used[i]) {
-            if (t.slots[i].key == key) {
-                eraseSlot(t, i);
-                return true;
-            }
-            i = (i + 1) & t.mask;
-        }
-        return false;
-    }
-
-    /**
-     * Backward-shift deletion: close the hole at `i` by shifting back
-     * every later cluster member whose probe path crosses `i`, then
-     * clear the final vacated slot. Leaves all probe paths intact
-     * with no tombstones.
-     */
-    static void
-    eraseSlot(Table &t, std::size_t i)
-    {
-        const std::size_t mask = t.mask;
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask;
-            if (!t.used[j])
-                break;
-            const std::size_t home = Hash{}(t.slots[j].key) & mask;
-            // Entry j may fill the hole iff the hole lies on its
-            // probe path, i.e. home .. i .. j in cyclic probe order.
-            if (((j - home) & mask) >= ((j - i) & mask)) {
-                t.slots[i] = std::move(t.slots[j]);
-                i = j;
-            }
-        }
-        t.slots[i] = Slot{};
-        t.used[i] = 0;
-        --t.count;
-    }
-
+    /** Double the capacity and re-place every entry. */
     void
-    maybeGrow()
+    grow()
     {
-        // Trigger at 3/4 load on the insert target. If a previous
-        // migration is somehow still draining (cannot happen at the
-        // normal chunk pace), finish it first so at most two tables
-        // ever exist.
-        if ((cur_.count + 1) * 4 <= cur_.slots.size() * 3)
-            return;
-        if (old_.live())
-            drainAll();
-        Table grown;
-        grown.init(cur_.slots.size() * 2);
-        old_ = std::move(cur_);
-        cur_ = std::move(grown);
-        // Start the drain cursor at a cluster boundary: the first
-        // free slot (one exists — the old table was below full).
-        migratePos_ = 0;
-        while (old_.used[migratePos_])
-            migratePos_ = (migratePos_ + 1) & old_.mask;
-        migrateLeft_ = old_.slots.size();
-    }
-
-    /** Move one maximal probe cluster starting at the cursor (which
-     *  always rests on an empty slot or cluster head). */
-    void
-    migrateStep()
-    {
-        if (!old_.live())
-            return;
-        std::size_t moved = 0;
-        while (old_.count > 0 && moved < kMigrateChunk) {
-            // Skip free slots to the next cluster head.
-            while (migrateLeft_ > 0 && !old_.used[migratePos_]) {
-                migratePos_ = (migratePos_ + 1) & old_.mask;
-                --migrateLeft_;
-            }
-            if (migrateLeft_ == 0)
-                break;
-            // Move the whole cluster: partial moves would break the
-            // empty-terminated probe paths of the entries left behind.
-            while (old_.used[migratePos_]) {
-                Slot &s = old_.slots[migratePos_];
-                Value *v =
-                    place(cur_, s.key, Hash{}(s.key));
-                *v = std::move(s.val);
-                s = Slot{};
-                old_.used[migratePos_] = 0;
-                --old_.count;
-                ++moved;
-                migratePos_ = (migratePos_ + 1) & old_.mask;
-                SIM_ASSERT(migrateLeft_ > 0);
-                --migrateLeft_;
-            }
+        std::vector<Slot> slots(slots_.size() * 2);
+        std::vector<std::uint8_t> used(slots.size());
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t j = 0; j < slots_.size(); ++j) {
+            if (!used_[j])
+                continue;
+            std::size_t i = Hash{}(slots_[j].key) & mask;
+            while (used[i])
+                i = (i + 1) & mask;
+            used[i] = 1;
+            slots[i] = std::move(slots_[j]);
         }
-        if (old_.count == 0)
-            old_.release();
+        slots_ = std::move(slots);
+        used_ = std::move(used);
+        mask_ = mask;
     }
 
-    void
-    drainAll()
-    {
-        while (old_.live())
-            migrateStep();
-    }
-
-    template <typename F>
-    static void
-    visit(Table &t, F &&f)
-    {
-        for (std::size_t i = 0; i < t.slots.size(); ++i)
-            if (t.used[i])
-                f(t.slots[i].key, t.slots[i].val);
-    }
-
-    template <typename F>
-    static void
-    visit(const Table &t, F &&f)
-    {
-        for (std::size_t i = 0; i < t.slots.size(); ++i)
-            if (t.used[i])
-                f(t.slots[i].key, t.slots[i].val);
-    }
-
-    Table cur_; //!< insert target (the only table when not rehashing)
-    Table old_; //!< draining predecessor during incremental rehash
-    std::size_t migratePos_ = 0;  //!< drain cursor into old_
-    std::size_t migrateLeft_ = 0; //!< old_ slots not yet visited
+    std::vector<Slot> slots_;
+    std::vector<std::uint8_t> used_;
+    std::size_t mask_ = 0;
+    std::size_t count_ = 0;
 };
 
 } // namespace sim

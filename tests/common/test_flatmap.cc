@@ -2,7 +2,7 @@
  * @file
  * FlatHashMap unit tests: linear-probe correctness under forced
  * collisions, backward-shift deletion leaving probe paths intact,
- * incremental rehash draining under live traffic, and a randomized
+ * the growth rule and every entry surviving growth, and a randomized
  * differential check against std::unordered_map.
  */
 
@@ -93,21 +93,19 @@ TEST(FlatHashMap, BackwardShiftPreservesProbePaths)
     }
 }
 
-TEST(FlatHashMap, IncrementalRehashKeepsEverythingVisible)
+TEST(FlatHashMap, GrowthKeepsEverythingVisible)
 {
     sim::FlatHashMap<std::uint64_t, std::uint64_t, IdentityHash> m(8);
-    bool sawRehashing = false;
     for (std::uint64_t k = 0; k < 4096; ++k) {
         *m.insert(k).first = k;
-        sawRehashing = sawRehashing || m.rehashing();
-        // Every prior key stays reachable mid-drain (spot-check a
-        // stride to keep the test fast).
+        // Every prior key stays reachable across each growth
+        // (spot-check a stride to keep the test fast).
         for (std::uint64_t j = k % 7; j <= k; j += 97) {
             ASSERT_NE(m.find(j), nullptr)
                 << "lost key " << j << " after inserting " << k;
         }
     }
-    EXPECT_TRUE(sawRehashing) << "growth should have been incremental";
+    EXPECT_EQ(m.capacity(), 8192u) << "4096 entries at <= 3/4 load";
     EXPECT_EQ(m.size(), 4096u);
     std::uint64_t sum = 0, count = 0;
     m.forEach([&](const std::uint64_t &k, std::uint64_t &v) {
@@ -119,19 +117,19 @@ TEST(FlatHashMap, IncrementalRehashKeepsEverythingVisible)
     EXPECT_EQ(sum, 4096u * 4095u / 2);
 }
 
-TEST(FlatHashMap, EraseDuringRehashDrain)
+TEST(FlatHashMap, EraseRightAfterGrowth)
 {
     sim::FlatHashMap<std::uint64_t, int, IdentityHash> m(8);
-    // Push just past a growth threshold so a drain is in progress,
-    // then erase keys that may sit in either table.
+    // Push just past a growth threshold, then erase every key from
+    // the re-placed table.
     std::uint64_t k = 0;
-    while (!m.rehashing())
+    while (m.capacity() == 8)
         *m.insert(k++).first = 1;
     const std::uint64_t n = k;
     for (std::uint64_t j = 0; j < n; ++j)
         EXPECT_TRUE(m.erase(j)) << "j=" << j;
     EXPECT_TRUE(m.empty());
-    EXPECT_FALSE(m.rehashing()) << "empty old table must be released";
+    EXPECT_EQ(m.capacity(), 16u) << "one table, and erase never shrinks it";
 }
 
 TEST(FlatHashMap, InsertEraseReinsertCyclingStaysBounded)
@@ -143,8 +141,10 @@ TEST(FlatHashMap, InsertEraseReinsertCyclingStaysBounded)
     constexpr std::uint64_t kWindow = 100;
     for (std::uint64_t k = 0; k < kWindow; ++k)
         *m.insert(k).first = k;
-    // Churn until any growth triggered by the initial fill has fully
-    // drained; the capacity reached then is the steady state.
+    // The fill grew the table in one pass each time; the capacity it
+    // reached is the steady state.
+    const std::size_t steadyCap = m.capacity();
+    EXPECT_EQ(steadyCap, 256u) << "100 entries at <= 3/4 load";
     std::uint64_t round = 1;
     auto churn = [&] {
         const std::uint64_t base = round * kWindow;
@@ -155,14 +155,37 @@ TEST(FlatHashMap, InsertEraseReinsertCyclingStaysBounded)
         EXPECT_EQ(m.size(), kWindow);
         ++round;
     };
-    do
-        churn();
-    while (m.rehashing());
-    const std::size_t steadyCap = m.capacity();
     for (int i = 0; i < 200; ++i)
         churn();
     EXPECT_EQ(m.capacity(), steadyCap)
         << "capacity crept under steady-state cycling";
+}
+
+TEST(FlatHashMap, DoublesOnTheInsertThatWouldPassThreeQuartersLoad)
+{
+    sim::FlatHashMap<std::uint64_t, int, IdentityHash> m(8);
+    std::uint64_t k = 0;
+    for (std::size_t cap = 8; cap <= 1024; cap *= 2) {
+        // Up to exactly 3/4 load the table keeps its capacity.
+        while (m.size() < cap * 3 / 4) {
+            *m.insert(k++).first = 1;
+            ASSERT_EQ(m.capacity(), cap) << "size " << m.size();
+        }
+        // Finding a present key adds no entry, so it cannot grow.
+        EXPECT_FALSE(m.insert(0).second);
+        EXPECT_EQ(m.capacity(), cap);
+        // The next new key would pass 3/4: the table doubles on it.
+        *m.insert(k++).first = 1;
+        ASSERT_EQ(m.capacity(), 2 * cap) << "size " << m.size();
+    }
+    // clear() keeps the capacity and forgets every key.
+    const std::size_t cap = m.capacity();
+    m.clear();
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.capacity(), cap);
+    const auto &cm = m;
+    for (std::uint64_t j = 0; j < k; ++j)
+        ASSERT_EQ(cm.find(j), nullptr) << "j=" << j;
 }
 
 TEST(FlatHashMap, DifferentialAgainstUnorderedMap)
@@ -215,9 +238,10 @@ TEST(FlatHashMap, ClearResets)
     sim::FlatHashMap<std::uint64_t, int, IdentityHash> m(8);
     for (std::uint64_t k = 0; k < 100; ++k)
         *m.insert(k).first = 1;
+    const std::size_t cap = m.capacity();
     m.clear();
     EXPECT_TRUE(m.empty());
-    EXPECT_FALSE(m.rehashing());
+    EXPECT_EQ(m.capacity(), cap);
     EXPECT_EQ(m.find(5), nullptr);
     *m.insert(5).first = 9;
     EXPECT_EQ(*m.find(5), 9);
