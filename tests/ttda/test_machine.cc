@@ -8,10 +8,32 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+#include "../net/topology_name.hh"
 #include "graph/builder.hh"
 #include "ttda/emulator.hh"
 #include "ttda/machine.hh"
 #include "workloads/dfg_programs.hh"
+
+namespace ttda
+{
+
+/** The mapping sweep's ctest names print the parameter, as the
+ *  topology sweep's do through net::PrintTo. */
+void
+PrintTo(MachineConfig::Mapping m, std::ostream *os)
+{
+    switch (m) {
+      case MachineConfig::Mapping::HashTag: *os << "HashTag"; return;
+      case MachineConfig::Mapping::ByContext: *os << "ByContext"; return;
+      case MachineConfig::Mapping::ByIteration: *os << "ByIteration"; return;
+      case MachineConfig::Mapping::SinglePe: *os << "SinglePe"; return;
+    }
+    *os << "Unknown";
+}
+
+} // namespace ttda
 
 namespace
 {

@@ -432,7 +432,7 @@ struct FuzzExpect
 void
 PrintTo(const FuzzExpect &e, std::ostream *os)
 {
-    *os << matrix::topologyName(e.topology);
+    *os << net::topologyName(e.topology);
 }
 
 class SnapshotFuzz : public ::testing::TestWithParam<FuzzExpect>

@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <ostream>
-#include <string>
 #include <vector>
 
+#include "../net/topology_name.hh"
 #include "ttda/machine.hh"
 #include "workloads/arrivals.hh"
 
@@ -32,19 +32,6 @@ struct Case
     Topology topology = Topology::Ideal;
     bool lossy = false; //!< ReliableNet over a dropping, duplicating fabric
 };
-
-inline std::string
-topologyName(Topology t)
-{
-    switch (t) {
-      case Topology::Ideal: return "Ideal";
-      case Topology::Crossbar: return "Crossbar";
-      case Topology::Hypercube: return "Hypercube";
-      case Topology::Omega: return "Omega";
-      case Topology::Hierarchical: return "Hierarchical";
-    }
-    return "Unknown";
-}
 
 inline ttda::MachineConfig
 config(const Case &c)
@@ -79,7 +66,7 @@ allCases()
 inline void
 PrintTo(const Case &c, std::ostream *os)
 {
-    *os << topologyName(c.topology) << (c.lossy ? "Lossy" : "Bare");
+    *os << net::topologyName(c.topology) << (c.lossy ? "Lossy" : "Bare");
 }
 
 /** Queue `n` fib requests (fib(4)..fib(8), cycling) on a seeded

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../net/topology_name.hh"
 #include "vn/machine.hh"
 #include "workloads/vn_programs.hh"
 
@@ -67,12 +68,7 @@ TEST(VnMachine, RemoteLoadCrossesNetwork)
     EXPECT_GE(m.netStats().sent.value(), 2u); // request + response
 }
 
-/** The vn machine's four topologies. The sweep's case names print the
- *  parameter's bytes, so these values, not net::Topology's, fix the
- *  names. */
-enum class VnFabric { Ideal, Crossbar, Omega, Hierarchical };
-
-class VnTopologySweep : public ::testing::TestWithParam<VnFabric>
+class VnTopologySweep : public ::testing::TestWithParam<net::Topology>
 {
 };
 
@@ -81,10 +77,7 @@ TEST_P(VnTopologySweep, AllCoresSumRemoteVectors)
     // Each of 4 cores sums 8 words owned by the *next* module; checks
     // data integrity through every fabric.
     auto cfg = baseConfig(4);
-    constexpr net::Topology kTopology[] = {
-        net::Topology::Ideal, net::Topology::Crossbar, net::Topology::Omega,
-        net::Topology::Hierarchical};
-    cfg.topology = kTopology[static_cast<int>(GetParam())];
+    cfg.topology = GetParam();
     vn::VnMachine m(cfg);
     for (std::uint64_t w = 0; w < 4 * 1024; ++w)
         m.poke(w, mem::fromInt(static_cast<std::int64_t>(w % 10)));
@@ -130,10 +123,11 @@ TEST_P(VnTopologySweep, AllCoresSumRemoteVectors)
     }
 }
 
+// The vn machine's four topologies: the cube is the TTDA's alone.
 INSTANTIATE_TEST_SUITE_P(
     Fabrics, VnTopologySweep,
-    ::testing::Values(VnFabric::Ideal, VnFabric::Crossbar, VnFabric::Omega,
-                      VnFabric::Hierarchical));
+    ::testing::Values(net::Topology::Ideal, net::Topology::Crossbar,
+                      net::Topology::Omega, net::Topology::Hierarchical));
 
 TEST(VnMachine, RefusesTheHypercube)
 {
