@@ -54,7 +54,7 @@ Machine::Machine(const graph::Program &program, MachineConfig config)
         aluLatency_[static_cast<std::size_t>(op)] = latency;
     }
 
-    observing_ = cfg_.latencyStats;
+    observing_ = cfg_.latencyStats || cfg_.trace != nullptr;
     if (cfg_.tracer && cfg_.tracer->active()) {
         observing_ = true;
         trc_ = cfg_.tracer;
@@ -416,9 +416,10 @@ Machine::stepInput(Pe &pe, sim::NodeId id)
     pe.inQ.pop_front();
     --activeItems_;
     pe.stats.tokensIn.inc();
-    if (cfg_.trace) {
-        *cfg_.trace << now_ << " pe" << tok.pe << " in    " << tok
-                << "\n";
+    if constexpr (Obs) {
+        if (cfg_.trace)
+            *cfg_.trace << now_ << " pe" << tok.pe << " in    " << tok
+                        << "\n";
     }
 
     using graph::TokenKind;
@@ -534,10 +535,9 @@ Machine::stepInput(Pe &pe, sim::NodeId id)
         break;
 
       case TokenKind::Output:
-        if (cfg_.trace) {
-            *cfg_.trace << now_ << " OUTPUT " << tok.data << "\n";
-        }
         if constexpr (Obs) {
+            if (cfg_.trace)
+                *cfg_.trace << now_ << " OUTPUT " << tok.data << "\n";
             SIM_TRACE(trc_, Sched, instant, id, kTidWm, "result",
                       now_,
                       sim::format("\"value\":\"{}\",\"seq\":{}",
@@ -580,12 +580,11 @@ Machine::stepAlu(Pe &pe, sim::NodeId id)
     if (in.constant)
         op.enabled.operands.push_back(*in.constant);
 
-    if (cfg_.trace) {
-        *cfg_.trace << now_ << " fire  " << op.enabled.tag << " "
-                << graph::opcodeName(in.op) << "\n";
-    }
     const sim::Cycle lat = aluLatency_[static_cast<std::size_t>(in.op)];
     if constexpr (Obs) {
+        if (cfg_.trace)
+            *cfg_.trace << now_ << " fire  " << op.enabled.tag << " "
+                        << graph::opcodeName(in.op) << "\n";
         if (!profile_.empty()) {
             const std::size_t g =
                 instrOffsets_[op.enabled.tag.codeBlock] +

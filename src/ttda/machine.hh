@@ -122,8 +122,9 @@ struct MachineConfig : net::FabricConfig
     std::uint32_t threads = 1;
 
     /** When set, one line per machine event (token classified,
-     *  activity fired, structure operation, output) is written here —
-     *  the simulator's debug trace. Hot path cost is a null check. */
+     *  activity fired, output) is written here — the simulator's debug
+     *  trace. Like an active tracer it implies latencyStats; a run
+     *  without it pays nothing for it. */
     std::ostream *trace = nullptr;
 
     /** When set, token-lifecycle events (waiting-matching, fires,
@@ -135,8 +136,8 @@ struct MachineConfig : net::FabricConfig
     sim::Tracer *tracer = nullptr;
 
     /** Stamp tokens with seq/birth-cycle and sample the birth-to-fire
-     *  and read-latency histograms. Implied by an active tracer;
-     *  enabled by --stats-json. Off by default so the per-fire path
+     *  and read-latency histograms. Implied by an active tracer or a
+     *  text trace; enabled by --stats-json. Off by default so the per-fire path
      *  pays nothing for lifecycle accounting nobody will read. */
     bool latencyStats = false;
 
@@ -355,8 +356,8 @@ class Machine
 
     /** Cycles from a token's creation to the fire of the activity it
      *  enabled (token-lifecycle latency; one sample per fire).
-     *  Populated only when MachineConfig::latencyStats is set or a
-     *  tracer is active. */
+     *  Populated only when MachineConfig::latencyStats is set, a
+     *  tracer is active or the text trace is set. */
     const sim::Histogram &birthToFireLatency() const
     {
         return birthToFire_;
@@ -453,9 +454,9 @@ class Machine
         sim::RingQueue<graph::Token> inQ;
         /** The waiting-matching associative store: flat
          *  open-addressed, keyed on the full tag (hashed through its
-         *  stable 64-bit packing), tombstone-free erases, rehash
-         *  amortized across ticks — see docs/ARCHITECTURE.md, "The
-         *  flat waiting-matching store". */
+         *  stable 64-bit packing), tombstone-free erases, one-pass
+         *  growth — see docs/ARCHITECTURE.md, "The flat
+         *  waiting-matching store". */
         sim::FlatHashMap<graph::Tag, Waiting, graph::TagHash> waitStore;
         sim::Cycle matchBusy = 0;
         sim::RingQueue<ReadyOp> fetchQ;
@@ -512,11 +513,11 @@ class Machine
     // Stage steps, one call per PE per cycle in PE-index order.
     //
     // The whole step/emit path is templated on Obs — whether the
-    // machine is observing token lifecycles (latencyStats or an
-    // active tracer). The Obs=false instantiation compiles out every
-    // seq/born stamp, histogram sample, and SIM_TRACE site, so runs
-    // without observability pay literally nothing for it; run()
-    // selects the instantiation once.
+    // machine is observing token lifecycles (latencyStats, an active
+    // tracer or a text trace). The Obs=false instantiation compiles out
+    // every seq/born stamp, histogram sample, SIM_TRACE site and
+    // text-trace line, so runs without observability pay literally
+    // nothing for it; run() selects the instantiation once.
     template <bool Obs>
     void stepInput(Pe &pe, sim::NodeId id);
     template <bool Obs>
@@ -674,8 +675,8 @@ class Machine
     sim::Histogram birthToFire_{4.0, 128};
     sim::Histogram readLatency_{4.0, 128};
     std::uint32_t tokenSeq_ = 0; //!< next Token::seq to hand out
-    bool observing_ = false; //!< latencyStats, tracing, metrics, or
-                             //!< profiling requested
+    bool observing_ = false; //!< latencyStats, tracing (either kind),
+                             //!< metrics, or profiling requested
     sim::Tracer *trc_ = nullptr; //!< cfg_.tracer when active, else null
 
     // Incrementally maintained occupancy: going idle, skip-ahead and
