@@ -151,86 +151,10 @@ EOF
 "$BUILD_DIR/tests/test_fleet" > /dev/null
 
 # --- Daemon smoke --------------------------------------------------
-# 9. Simulation-as-a-service under the sanitizers: start ttda_simd,
-#    drive it with scripts/simctl.py (8 concurrent lossy jobs on warm
-#    ReliableNet replicas), capture reference results; then a second
-#    daemon gets the same submissions, checkpoints the job table
-#    mid-flight, is killed with SIGKILL, and a third daemon restores
-#    the checkpoint — every job must reproduce the reference result
-#    bit-for-bit (outputs, cycles, full stats JSON).
-SIMD="$BUILD_DIR/src/daemon/ttda_simd"
-CTL="scripts/simctl.py"
-SIMD_ARGS=(--workers 2 --pes 4 --reliable-net --seed 1)
-
-start_simd() { # args: logfile [extra args...]; sets SIMD_PID and PORT
-    local log="$1"; shift
-    "$SIMD" "${SIMD_ARGS[@]}" "$@" > "$log" &
-    SIMD_PID=$!
-    PORT=""
-    for _ in $(seq 1 300); do
-        PORT="$(awk '/^LISTENING/{print $2}' "$log")"
-        [[ -n "$PORT" ]] && return 0
-        sleep 0.1
-    done
-    echo "daemon never printed LISTENING" >&2
-    return 1
-}
-
-submit_jobs() {
-    for s in $(seq 1 8); do
-        python3 "$CTL" --port "$PORT" submit --workload fib --args 7 \
-            --requests 4 --seed "$s" --drop-rate 0.02 \
-            --fault-seed "$((s + 100))" > /dev/null
-    done
-}
-
-start_simd "$OBS_DIR/simd_ref.log"
-submit_jobs
-for id in $(seq 1 8); do
-    python3 "$CTL" --port "$PORT" result "$id" --wait \
-        > "$OBS_DIR/daemon_ref_$id.json"
-done
-python3 "$CTL" --port "$PORT" status > "$OBS_DIR/daemon_status.json"
-python3 "$CTL" --port "$PORT" shutdown > /dev/null
-wait "$SIMD_PID"
-python3 - "$OBS_DIR/daemon_status.json" <<'EOF'
-import json, sys
-st = json.load(open(sys.argv[1]))
-assert st["srv"]["done"] == 8, st
-assert st["srv"]["requestsCompleted"] == 32, st
-assert sum(st["fleet"]["jobsPerWorker"]) == 8, st
-EOF
-
-# Same submissions; checkpoint races the executor (done + pending mix),
-# then die without warning.
-start_simd "$OBS_DIR/simd_ckpt.log"
-submit_jobs
-python3 "$CTL" --port "$PORT" checkpoint "$OBS_DIR/daemon.snap" \
-    > /dev/null
-kill -9 "$SIMD_PID"
-wait "$SIMD_PID" 2> /dev/null || true
-
-# Restore into a fresh daemon: pending jobs re-run deterministically.
-start_simd "$OBS_DIR/simd_restored.log" \
-    --restore "$OBS_DIR/daemon.snap"
-for id in $(seq 1 8); do
-    python3 "$CTL" --port "$PORT" result "$id" --wait \
-        > "$OBS_DIR/daemon_res_$id.json"
-done
-python3 "$CTL" --port "$PORT" shutdown > /dev/null
-wait "$SIMD_PID"
-python3 - "$OBS_DIR" <<'EOF'
-import json, sys
-d = sys.argv[1]
-for i in range(1, 9):
-    ref = json.load(open(f"{d}/daemon_ref_{i}.json"))
-    res = json.load(open(f"{d}/daemon_res_{i}.json"))
-    assert ref["state"] == res["state"] == "done", (i, ref, res)
-    for k in ("cycles", "completed", "deadlocked", "outputs",
-              "watermarkHits", "statsJson"):
-        assert ref[k] == res[k], f"job {i}: field {k} differs"
-print("daemon smoke: 8/8 jobs bit-identical after kill -9 + restore")
-EOF
+# 9. Simulation-as-a-service under the sanitizers: the daemon's
+#    checkpoint / kill -9 / restore round trip, which CI's daemon-smoke
+#    job runs too (scripts/daemon_smoke.sh says what it asserts).
+scripts/daemon_smoke.sh "$BUILD_DIR"
 
 # --- ThreadSanitizer gate ------------------------------------------
 # 10. The concurrent code under ThreadSanitizer, in a tree of its own
