@@ -47,8 +47,9 @@ cleanup() { rm -rf "$TREE"; }
 cleanup
 trap cleanup EXIT
 mkdir "$TREE"
-# -m stamps the files with the extraction time, so a build-ab/ left by
-# another <rev> rebuilds what changed.
+# -m stamps the files with the extraction time. The archive's own times
+# are the commit's, older than the objects a build-ab/ left by another
+# <rev> holds, so make would skip the files that changed.
 git archive "$REV" | tar -x -m -C "$TREE"
 
 build() { # <source-dir> <build-dir>

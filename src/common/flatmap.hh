@@ -16,8 +16,8 @@
  * insert/erase cycling (the WM store's steady state) and never needs
  * a cleanup rehash.
  *
- * Growth is one pass: the insert that would take the table past 3/4
- * load doubles it and re-places every entry. The simulator times
+ * Growth is one pass: an insert that finds the table at 3/4 load
+ * doubles it and re-places every entry. The simulator times
  * whole runs, never single operations, and the WM store grows rarely
  * (a few times per PE per run), so spreading the rehash over later
  * operations would only tax every probe.
